@@ -18,9 +18,8 @@ from .errors import (DegenerateSpectrumWarning, DimensionMismatch,
                      NoConvergence, SingularParameters)
 from .metric import (MetricMatrix, VerificationReport, dieudonne_nullspace,
                      dieudonne_residual, hermitian_eigenvalues, metric_band,
-                     metric_band_extended, metric_band_recurrence,
-                     metric_n3_general, metric_n3_special, metric_n4_special,
-                     verify_metric)
+                     metric_band_extended, metric_n3_general,
+                     metric_n3_special, metric_n4_special, verify_metric)
 from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
                     energy_from_y, reparametrize, z_from_xizeta)
 from .spectrum import (Spectrum, Wavefunction, charpoly_eigenvalues,
@@ -66,7 +65,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "metric_band",
     "metric_band_extended",
-    "metric_band_recurrence",
     "metric_n3_general",
     "metric_n3_special",
     "metric_n4_special",

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularParameters
-from .metric import (hermitian_eigenvalues, metric_band,
-                     metric_band_extended, metric_n3_general,
-                     metric_n3_special, metric_n4_special)
+from .metric import FAMILIES, hermitian_eigenvalues
 from .model import energy_from_y
 from .spectrum import REALITY_TOL, _solve_batch, reality_flags
 
@@ -309,18 +307,6 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
                           xi_max=xi_max, xi_steps=xi_steps)
 
 
-_POSITIVITY_BUILDERS = {
-    "band": lambda n, kw: (lambda v: metric_band(n, v)),
-    "band_u": lambda n, kw: (lambda v: metric_band_extended(n, v, kw.get("u", 0.0))),
-    "n3_general": lambda n, kw: (lambda v: metric_n3_general(
-        v, r=kw.get("r", 1.0), s=kw.get("s", 1.0), u=kw.get("u", 0.0))),
-    "n3_special": lambda n, kw: (lambda v: metric_n3_special(v, u=kw.get("u", 0.0))),
-    "n4_special": lambda n, kw: (lambda v: metric_n4_special(v)),
-}
-
-_FIXED_SIZE_FAMILIES = {"n3_general": 3, "n3_special": 3, "n4_special": 4}
-
-
 @dataclass
 class PositivityResult:
     """Positivity census of a metric family along its parameter.
@@ -356,15 +342,16 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
                             param_tol=1e-6, **extra):
     """Scan a metric family for loss of positive definiteness.
 
-    The family parameter (omega for the band families, xi for the fixed
-    size ones) is swept over a grid; where the smallest eigenvalue changes
-    sign next to the origin, the edge is refined by bisection to
-    ``param_tol``.
+    The family's coupling parameter (omega for the band families, xi for
+    the fixed size ones) is swept over a grid; where the smallest
+    eigenvalue changes sign next to the origin, the edge is refined by
+    bisection to ``param_tol``.
 
     Parameters
     ----------
     family : str
-        One of "band", "band_u", "n3_general", "n3_special", "n4_special".
+        A key of ``hermitize.metric.FAMILIES``: "band", "band_u",
+        "n3_general", "n3_special" or "n4_special".
     n : int
         Dimension; must be 3 or 4 for the fixed-size families.
     param_min, param_max : float
@@ -373,28 +360,34 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     param_tol : float
         Bisection tolerance for the edges.
     **extra :
-        Fixed family parameters (u, r, s).
+        The family's other parameters (u, r, s), held fixed.  A required
+        one that is missing, or one the family does not take, raises
+        ValueError.
 
     Returns
     -------
     PositivityResult
     """
-    if family not in _POSITIVITY_BUILDERS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    want = _FIXED_SIZE_FAMILIES.get(family)
-    if want is not None and n != want:
-        raise ValueError(f"family {family!r} has fixed size {want}")
-    build = _POSITIVITY_BUILDERS[family](n, extra)
+    fam = FAMILIES[family]
+    if fam.swept in extra:
+        raise ValueError(f"family {family!r} sweeps {fam.swept}; "
+                         "it cannot be held fixed")
+    fixed = fam.bind(n, {fam.swept: 0.0, **extra})
+
+    def min_eig(v):
+        return hermitian_eigenvalues(
+            fam.build(n, **{**fixed, fam.swept: v}))[0]
 
     values = np.linspace(param_min, param_max, steps)
-    min_eigs = np.array([hermitian_eigenvalues(build(v).matrix)[0]
-                         for v in values])
+    min_eigs = np.array([min_eig(v) for v in values])
 
     def refine(a, b):
         # min-eig > 0 at a, <= 0 at b; returns the midpoint at param_tol.
         while abs(b - a) > param_tol:
             mid = 0.5 * (a + b)
-            if hermitian_eigenvalues(build(mid).matrix)[0] > 0.0:
+            if min_eig(mid) > 0.0:
                 a = mid
             else:
                 b = mid

@@ -16,15 +16,16 @@ import sys
 from .analysis import (continuum_convergence, critical_zeta, endpoint_locus,
                        sweep_xi, sweep_zeta)
 from .errors import NoConvergence, SingularParameters
-from .metric import (dieudonne_nullspace, hermitian_eigenvalues, metric_band,
-                     metric_band_extended, metric_band_recurrence,
-                     metric_n3_general, metric_n3_special, metric_n4_special,
+from .metric import (FAMILIES, dieudonne_nullspace, hermitian_eigenvalues,
                      verify_metric)
 from .model import ModelParams
 from .spectrum import solve_spectrum, wavefunction
 
 _SPECTRAL_HEADER = ("axis", "index", "re_E", "im_E", "is_real")
 _EIGEN_HEADER = ("axis", "index", "eigenvalue")
+# Every metric family parameter, each a float flag of metric and verify.
+_FAMILY_PARAMS = tuple(dict.fromkeys(
+    name for family in FAMILIES.values() for name, _ in family.params))
 
 
 class _UsageError(Exception):
@@ -77,11 +78,24 @@ def _add_coupling_flags(sub):
                      help="Cartesian real shift (default 0)")
 
 
-def _add_common_flags(sub, fmt_default="csv"):
+def _add_family_flags(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    for name in _FAMILY_PARAMS:
+        sub.add_argument(f"--{name}", type=float, default=None)
+
+
+def _add_convention_flag(sub):
     sub.add_argument("--convention", choices=("lattice", "shifted"),
                      default="lattice", help="energy convention")
+
+
+def _add_tol_flag(sub):
     sub.add_argument("--tol", type=float, default=1e-12,
                      help="root solver tolerance")
+
+
+def _add_output_flags(sub, fmt_default="csv"):
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"),
                      default=fmt_default, help="output format")
@@ -164,45 +178,19 @@ def _cmd_wavefn(args):
 
 
 def _build_family(args):
-    fam = args.family
-    need = {
-        "band": ("omega",),
-        "band_u": ("omega", "u"),
-        "band_recurrence": ("omega",),
-        "n3_general": ("xi",),
-        "n3_special": ("xi",),
-        "n4_special": ("xi",),
-    }
-    if fam not in need:
-        raise _UsageError(f"unknown family {fam!r}")
-    for flag in need[fam]:
-        if getattr(args, flag) is None:
-            raise _UsageError(f"family {fam!r} needs --{flag}")
-    if fam == "band":
-        return metric_band(args.n, args.omega)
-    if fam == "band_u":
-        return metric_band_extended(args.n, args.omega, args.u)
-    if fam == "band_recurrence":
-        return metric_band_recurrence(args.n, args.omega)
-    if fam == "n3_general":
-        if args.n != 3:
-            raise _UsageError("family 'n3_general' has fixed size 3")
-        return metric_n3_general(args.xi, r=args.r, s=args.s, u=args.u or 0.0)
-    if fam == "n3_special":
-        if args.n != 3:
-            raise _UsageError("family 'n3_special' has fixed size 3")
-        return metric_n3_special(args.xi, u=args.u or 0.0)
-    if args.n != 4:
-        raise _UsageError("family 'n4_special' has fixed size 4")
-    return metric_n4_special(args.xi)
+    family = FAMILIES[args.family]
+    given = {name: getattr(args, name) for name in _FAMILY_PARAMS
+             if getattr(args, name) is not None}
+    params = family.bind(args.n, given, flag="--")
+    return family, family.build(args.n, **params)
 
 
 def _cmd_metric(args):
-    theta = _build_family(args)
+    family, theta = _build_family(args)
     eigs = hermitian_eigenvalues(theta)
-    axis = theta.params.get("omega", theta.params.get("xi", 0.0))
     if args.format == "csv":
-        rows = [(_g(axis), str(i), _g(e)) for i, e in enumerate(eigs)]
+        axis = _g(theta.params[family.swept])
+        rows = [(axis, str(i), _g(e)) for i, e in enumerate(eigs)]
         _emit_rows(_EIGEN_HEADER, rows, args.out)
     else:
         _emit_json({
@@ -217,11 +205,9 @@ def _cmd_metric(args):
 
 
 def _cmd_verify(args):
-    theta = _build_family(args)
-    if theta.family in ("band", "band_u", "band_recurrence"):
-        params = ModelParams(n=args.n, omega=args.omega, rho=0.0)
-    else:
-        params = ModelParams(n=args.n, xi=args.xi, zeta=0.0)
+    family, theta = _build_family(args)
+    params = ModelParams(n=args.n, **{family.swept: theta.params[family.swept],
+                                      family.held: 0.0})
     report = verify_metric(params, theta)
     spec = solve_spectrum(params, tol=args.tol, with_wavefunctions=True)
     max_res = max(w.residual for w in spec.wavefunctions)
@@ -394,7 +380,9 @@ def _build_parser():
     p = subs.add_parser("spectrum", help="eigenvalues at one coupling")
     p.add_argument("--n", type=int, required=True)
     _add_coupling_flags(p)
-    _add_common_flags(p)
+    _add_convention_flag(p)
+    _add_tol_flag(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = subs.add_parser("wavefn", help="eigenvector at one coupling")
@@ -402,34 +390,21 @@ def _build_parser():
     p.add_argument("--index", type=int, default=0,
                    help="root index in sorted order")
     _add_coupling_flags(p)
-    _add_common_flags(p)
+    _add_convention_flag(p)
+    _add_tol_flag(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_wavefn)
 
     p = subs.add_parser("metric", help="metric family eigenvalues")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", required=True,
-                   choices=("band", "band_u", "band_recurrence",
-                            "n3_general", "n3_special", "n4_special"))
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    _add_common_flags(p, fmt_default="csv")
+    _add_family_flags(p)
+    _add_output_flags(p, fmt_default="csv")
     p.set_defaults(func=_cmd_metric)
 
     p = subs.add_parser("verify",
                         help="check a metric family against its Hamiltonian")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", required=True,
-                   choices=("band", "band_u", "band_recurrence",
-                            "n3_general", "n3_special", "n4_special"))
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
-    _add_common_flags(p, fmt_default="json")
+    _add_family_flags(p)
+    _add_tol_flag(p)
+    _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("nullspace",
@@ -437,7 +412,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol-rank", type=float, default=1e-10)
     _add_coupling_flags(p)
-    _add_common_flags(p, fmt_default="json")
+    _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_nullspace)
 
     p = subs.add_parser("sweep", help="spectra along a parameter grid")
@@ -450,7 +425,9 @@ def _build_parser():
                    help="fixed xi for --axis zeta")
     p.add_argument("--zeta", type=float, default=None,
                    help="fixed zeta for --axis xi")
-    _add_common_flags(p)
+    _add_convention_flag(p)
+    _add_tol_flag(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("critical",
@@ -459,7 +436,8 @@ def _build_parser():
     p.add_argument("--xi-max", type=float, default=10.0)
     p.add_argument("--xi-steps", type=int, default=2000)
     p.add_argument("--zeta-tol", type=float, default=1e-5)
-    _add_common_flags(p, fmt_default="json")
+    _add_tol_flag(p)
+    _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_critical)
 
     p = subs.add_parser("continuum",
@@ -467,14 +445,14 @@ def _build_parser():
     p.add_argument("--m", required=True,
                    help="comma-separated half sizes, e.g. 50,100,200")
     p.add_argument("--levels", type=int, default=2)
-    _add_common_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_continuum)
 
     p = subs.add_parser("locus",
                         help="closed-form loci with a root at y = +/-1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=20)
-    _add_common_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_locus)
 
     return parser

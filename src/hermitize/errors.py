@@ -16,9 +16,9 @@ class NoConvergence(RuntimeError):
     Attributes
     ----------
     best : object or None
-        Best iterate available when the budget ran out (root estimates for
-        the polynomial solver, the partially diagonalized matrix for the
-        Jacobi eigensolver).  Useful for post-mortem inspection.
+        Best iterate available when the budget ran out (the root
+        estimates of the polynomial solver).  Useful for post-mortem
+        inspection.
     """
 
     def __init__(self, message, best=None):

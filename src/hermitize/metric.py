@@ -21,12 +21,12 @@ magnitude once the band entries get large.
 """
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateSpectrumWarning, DimensionMismatch,
-                     NoConvergence)
+from .errors import DegenerateSpectrumWarning, DimensionMismatch
 from .model import ModelParams, TridiagonalHamiltonian, build_hamiltonian
 
 
@@ -52,8 +52,8 @@ class MetricMatrix:
     n : int
         Dimension.
     family : str
-        Constructor family name ("band", "band_u", "band_recurrence",
-        "n3_general", "n3_special", "n4_special", "nullspace").
+        Constructor family name (a key of ``FAMILIES``, "nullspace" or
+        "custom").
     params : dict
         Family parameters used to build the matrix.
     matrix : numpy.ndarray
@@ -146,35 +146,6 @@ def _band_values(n, omega, seed):
     return band
 
 
-def metric_band_recurrence(n, omega):
-    """The ``metric_band`` family built from its two-term real recurrence.
-
-    Carries the real pair (p1, p2) = (Re, Im) of the band value through
-    p1 <- p1 + w p2, p2 <- p2 - w p1 (both from the old values), anchored
-    at the first off-diagonal (0, -w).  This is the same rotation-like
-    step as multiplying by (1 - i w) and reproduces ``metric_band``
-    bitwise; it exists as an independent construction path for testing.
-
-    Parameters
-    ----------
-    n : int
-    omega : float
-
-    Returns
-    -------
-    MetricMatrix
-    """
-    band = np.empty(n, dtype=complex)
-    band[0] = 1.0
-    p1, p2 = 0.0, -omega
-    for k in range(1, n):
-        band[k] = complex(p1, p2)
-        p1, p2 = p1 + omega * p2, p2 - omega * p1
-    return MetricMatrix(n=n, family="band_recurrence",
-                        params={"omega": omega},
-                        matrix=_fill_band(n, band))
-
-
 def metric_n3_general(xi, r=1.0, s=1.0, u=0.0):
     """Three-parameter metric family of the three-site well.
 
@@ -237,14 +208,76 @@ def metric_n4_special(xi):
                         matrix=_fill_band(4, band))
 
 
-_FAMILIES = {
-    "band": metric_band,
-    "band_u": metric_band_extended,
-    "band_recurrence": metric_band_recurrence,
-    "n3_general": metric_n3_general,
-    "n3_special": metric_n3_special,
-    "n4_special": metric_n4_special,
-}
+@dataclass(frozen=True)
+class MetricFamily:
+    """A closed-form metric family and the coupling it intertwines.
+
+    Attributes
+    ----------
+    name : str
+    builder : callable
+        The public constructor, called by ``build``.
+    params : tuple of (str, float or None)
+        Parameter names in call order with their defaults; None marks a
+        required parameter.
+    size : int or None
+        The fixed dimension, or None when every n >= 1 works.
+    swept : str
+        The parameter that is also the coupling, "omega" or "xi".
+        Positivity sweeps run along it, and the ``metric`` CSV prints it as
+        the axis column.
+    held : str
+        The other coupling parameter, held at 0: "rho" or "zeta".
+    """
+
+    name: str
+    builder: Callable
+    params: tuple
+    size: int | None
+    swept: str
+    held: str
+
+    def bind(self, n, given, flag=""):
+        """Check a size and parameters; return the parameters in call order.
+
+        Defaults fill in what ``given`` leaves out.  Raises ValueError for
+        a missing required parameter, a parameter the family does not take,
+        or a size other than the fixed one.  Parameter names in the message
+        are prefixed with ``flag``.
+        """
+        for name, default in self.params:
+            if default is None and name not in given:
+                raise ValueError(f"family {self.name!r} needs {flag}{name}")
+        defaults = dict(self.params)
+        for name in given:
+            if name not in defaults:
+                raise ValueError(
+                    f"family {self.name!r} takes no {flag}{name}")
+        if self.size is not None and n != self.size:
+            raise ValueError(
+                f"family {self.name!r} has fixed size {self.size}")
+        return {name: given.get(name, default) for name, default in self.params}
+
+    def build(self, n, **params):
+        """The n x n member with the given parameters, as a MetricMatrix."""
+        if self.size is None:
+            return self.builder(n, **params)
+        return self.builder(**params)
+
+
+FAMILIES = {family.name: family for family in (
+    MetricFamily("band", metric_band, (("omega", None),),
+                 None, "omega", "rho"),
+    MetricFamily("band_u", metric_band_extended,
+                 (("omega", None), ("u", None)), None, "omega", "rho"),
+    MetricFamily("n3_general", metric_n3_general,
+                 (("xi", None), ("r", 1.0), ("s", 1.0), ("u", 0.0)),
+                 3, "xi", "zeta"),
+    MetricFamily("n3_special", metric_n3_special,
+                 (("xi", None), ("u", 0.0)), 3, "xi", "zeta"),
+    MetricFamily("n4_special", metric_n4_special, (("xi", None),),
+                 4, "xi", "zeta"),
+)}
 
 
 def _as_matrix(theta):
@@ -296,76 +329,27 @@ def dieudonne_residual(h, theta):
     return float(np.sqrt(np.sum(np.abs(left - right) ** 2)))
 
 
-def hermitian_eigenvalues(theta, tol=1e-13, max_sweeps=100):
-    """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi sweeps.
+def hermitian_eigenvalues(theta):
+    """Eigenvalues of a Hermitian matrix, ascending, by LAPACK ``eigvalsh``.
 
-    Sweeps two-sided unitary rotations over all (p, q) pairs until the
-    off-diagonal Frobenius mass is below ``tol`` times the Frobenius norm.
-    Self-contained on purpose: metric entries grow like |1 - i w|^n and
-    this routine is part of the positivity verification chain, so its
-    behavior should not depend on the installed LAPACK.
+    Only the lower triangle is read.  Every positivity decision in the
+    package is the sign of the first eigenvalue; the tests check that sign
+    against 40-digit eigenvalues on both sides of the band families'
+    positivity edges, where the entries grow like |1 - i w|^n.
 
     Parameters
     ----------
     theta : MetricMatrix or numpy.ndarray
-    tol : float
-        Relative off-diagonal target.
-    max_sweeps : int
-        Sweep budget; exceeding it raises ``NoConvergence``.
 
     Returns
     -------
     numpy.ndarray
         Real eigenvalues, ascending.
     """
-    a = _as_matrix(theta).astype(complex).copy()
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
+    a = _as_matrix(theta)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return np.zeros(n)
-    diag_idx = np.arange(n)
-
-    def offdiag_norm(m):
-        # Summed directly over the off-diagonal entries: subtracting the
-        # diagonal mass from the total cancels catastrophically and floors
-        # the result at sqrt(eps) * norm, masking converged matrices.
-        b = np.abs(m) ** 2
-        b[diag_idx, diag_idx] = 0.0
-        return np.sqrt(np.sum(b))
-
-    for _ in range(max_sweeps):
-        if offdiag_norm(a) <= tol * norm:
-            return np.sort(np.diag(a).real)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if abs(tau) > 1e8:
-                    # asymptotic form; tau * tau would overflow first
-                    t = -0.5 / tau
-                elif tau >= 0.0:
-                    t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * np.conj(apq) / mag
-                rp = c * a[p, :] + np.conj(s) * a[q, :]
-                rq = -s * a[p, :] + c * a[q, :]
-                a[p, :] = rp
-                a[q, :] = rq
-                cp = a[:, p] * c + a[:, q] * s
-                cq = -a[:, p] * np.conj(s) + a[:, q] * c
-                a[:, p] = cp
-                a[:, q] = cq
-    if offdiag_norm(a) <= tol * norm:
-        return np.sort(np.diag(a).real)
-    raise NoConvergence(
-        f"Jacobi sweeps did not converge in {max_sweeps} sweeps", best=a)
+    return np.linalg.eigvalsh(a)
 
 
 @dataclass

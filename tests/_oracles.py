@@ -71,3 +71,25 @@ def polyval_low(coeffs, y):
     for c in reversed(coeffs):
         acc = acc * y + c
     return acc
+
+
+def metric_band_recurrence(n, omega):
+    """The ``metric_band`` matrix built from its two-term real recurrence.
+
+    Carries the real pair (p1, p2) = (Re, Im) of the band value through
+    p1 <- p1 + w p2, p2 <- p2 - w p1 (both from the old values), anchored
+    at the first off-diagonal (0, -w).  This is the same step as
+    multiplying by (1 - i w) in ``metric.py``'s fixed schedule, so the
+    result equals ``metric_band`` bitwise; the Toeplitz fill is done here
+    entry by entry, without the package's band helper.
+    """
+    band = [complex(1.0)]
+    p1, p2 = 0.0, -omega
+    for _ in range(1, n):
+        band.append(complex(p1, p2))
+        p1, p2 = p1 + omega * p2, p2 - omega * p1
+    theta = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            theta[i, j] = band[j - i] if j >= i else band[i - j].conjugate()
+    return theta

@@ -11,14 +11,13 @@ from hermitize.analysis import (continuum_convergence, critical_zeta,
                                 endpoint_locus, metric_positivity_sweep)
 from hermitize.metric import (dieudonne_nullspace, dieudonne_residual,
                               hermitian_eigenvalues, metric_band,
-                              metric_band_extended, metric_band_recurrence,
-                              metric_n3_general, metric_n3_special,
-                              metric_n4_special)
+                              metric_band_extended, metric_n3_general,
+                              metric_n3_special, metric_n4_special)
 from hermitize.model import ModelParams, build_hamiltonian
 from hermitize.spectrum import (charpoly_eigenvalues, find_roots,
                                 secular_polynomial, solve_spectrum)
 
-from _oracles import max_pair_distance
+from _oracles import max_pair_distance, metric_band_recurrence
 
 # Low-discrepancy samples for the locus checks: uniform grids can land on
 # isolated exceptional points where a second root collides with y = +/-1
@@ -218,7 +217,7 @@ def test_spectral_symmetries_loci_and_construction_equality():
     for n in (2, 9, 33, 64):
         for omega in np.linspace(-2.0, 2.0, 9):
             assert np.array_equal(metric_band(n, float(omega)).matrix,
-                                  metric_band_recurrence(n, float(omega)).matrix)
+                                  metric_band_recurrence(n, float(omega)))
 
     print(f"symmetries: conj closure {worst_conj:.3e}, reflection "
           f"{worst_flip:.3e}, locus root distance {worst_locus:.3e}, "

@@ -6,6 +6,7 @@ from hermitize.analysis import (classify_reality, continuum_convergence,
                                 metric_positivity_sweep, sweep_xi,
                                 sweep_zeta)
 from hermitize.errors import SingularParameters
+from hermitize.metric import metric_band_extended, metric_n3_general
 from hermitize.model import ModelParams
 from hermitize.spectrum import solve_spectrum
 
@@ -96,6 +97,30 @@ def test_positivity_sweep_validates_family():
         metric_positivity_sweep("unknown", 2, -1, 1, 5)
     with pytest.raises(ValueError):
         metric_positivity_sweep("n3_special", 4, -1, 1, 5)
+
+
+def test_positivity_sweep_rejects_parameters_the_family_does_not_take():
+    with pytest.raises(ValueError, match="takes no u"):
+        metric_positivity_sweep("band", 8, -1, 1, 5, u=0.3)
+    with pytest.raises(ValueError, match="needs u"):
+        metric_positivity_sweep("band_u", 8, -1, 1, 5)
+    with pytest.raises(ValueError, match="sweeps omega"):
+        metric_positivity_sweep("band", 8, -1, 1, 5, omega=0.3)
+
+
+def test_positivity_sweep_passes_family_parameters():
+    res = metric_positivity_sweep("band_u", 6, -1.0, 1.0, 21, u=0.2)
+    assert res.extra == {"u": 0.2}
+    expect = [np.linalg.eigvalsh(metric_band_extended(6, v, 0.2).matrix)[0]
+              for v in res.values]
+    assert np.allclose(res.min_eigenvalues, expect, rtol=0, atol=1e-12)
+    # the member at -omega is the conjugate of the one at omega
+    assert res.edge_positive == pytest.approx(-res.edge_negative, abs=1e-6)
+    # s and u keep their defaults (1, 0) when only r is given
+    res = metric_positivity_sweep("n3_general", 3, -2.0, 2.0, 9, r=1.4)
+    expect = [np.linalg.eigvalsh(metric_n3_general(v, r=1.4).matrix)[0]
+              for v in res.values]
+    assert np.allclose(res.min_eigenvalues, expect, rtol=0, atol=1e-12)
 
 
 def test_positivity_sweep_all_positive_leaves_edges_empty():

@@ -94,6 +94,21 @@ def test_metric_family_parameter_validation(capsys):
     assert code == 1 and "size 3" in err
 
 
+def test_metric_rejects_parameters_the_family_does_not_take(capsys):
+    code, out, err = _run(capsys, "metric", "--n", "3", "--family", "band",
+                          "--omega", "0.3", "--u", "0.5", "--r", "7",
+                          "--xi", "2")
+    assert code == 1 and out == "" and "takes no --u" in err
+    code, _, err = _run(capsys, "verify", "--n", "4", "--family",
+                        "n4_special", "--xi", "0.5", "--s", "2")
+    assert code == 1 and "takes no --s" in err
+    # r and s default to 1 in the family table when neither flag is given
+    code, out, _ = _run(capsys, "verify", "--n", "3", "--family",
+                        "n3_general", "--xi", "0.5", "--format", "csv")
+    assert code == 0
+    assert "params,xi=0.5;r=1;s=1;u=0" in out.split("\n")
+
+
 def test_verify_json_contract(capsys):
     code, out, _ = _run(capsys, "verify", "--n", "6", "--family", "band_u",
                         "--omega", "0.25", "--u", "0.1")
@@ -195,6 +210,13 @@ def test_usage_exit_codes(capsys):
                 "1")[0] == 1
     assert _run(capsys, "spectrum", "--bogus", "1")[0] == 1
     assert _run(capsys, "nosuchcommand")[0] == 1
+
+
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys):
+    code, _, err = _run(capsys, "continuum", "--m", "5,10", "--tol", "1e-3")
+    assert code == 1 and "--tol" in err
+    assert _run(capsys, "metric", "--n", "2", "--family", "band", "--omega",
+                "0.5", "--convention", "shifted")[0] == 1
 
 
 def test_singular_parameters_exit_code(capsys):

@@ -3,15 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from hermitize.errors import (DegenerateSpectrumWarning, DimensionMismatch,
-                              NoConvergence)
-from hermitize.metric import (MetricMatrix, dieudonne_nullspace,
+from hermitize.analysis import metric_positivity_sweep
+from hermitize.errors import DegenerateSpectrumWarning, DimensionMismatch
+from hermitize.metric import (FAMILIES, MetricMatrix, dieudonne_nullspace,
                               dieudonne_residual, hermitian_eigenvalues,
                               metric_band, metric_band_extended,
-                              metric_band_recurrence, metric_n3_general,
-                              metric_n3_special, metric_n4_special,
-                              verify_metric)
+                              metric_n3_general, metric_n3_special,
+                              metric_n4_special, verify_metric)
 from hermitize.model import ModelParams, build_hamiltonian
+
+from _oracles import metric_band_recurrence
 
 
 def _h(n, omega):
@@ -37,7 +38,7 @@ def test_band_u_reduces_to_band_bitwise():
 def test_band_recurrence_equals_closed_form_bitwise():
     for omega in (-2.0, -0.35, 0.0, 0.6, 2.0):
         a = metric_band(16, omega).matrix
-        b = metric_band_recurrence(16, omega).matrix
+        b = metric_band_recurrence(16, omega)
         assert np.array_equal(a, b)
 
 
@@ -116,32 +117,45 @@ def test_metric_matrix_must_be_hermitian():
         MetricMatrix(n=3, family="custom", params={}, matrix=np.eye(2))
 
 
-def test_jacobi_against_lapack():
-    rng = np.random.RandomState(71)
-    for n in (2, 3, 7, 12):
-        a = rng.randn(n, n) + 1j * rng.randn(n, n)
-        a = a + a.conj().T
-        got = hermitian_eigenvalues(a)
-        expect = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(got - expect)) < 1e-12 * np.linalg.norm(a)
+def test_min_eigenvalue_sign_matches_high_precision():
+    # Points 1e-6 (relative) inside and outside each positivity edge of the
+    # band families, where the entries are largest relative to the smallest
+    # eigenvalue, plus the always-positive fixed-size families.  The member
+    # at -omega is the complex conjugate of the one at omega, so one
+    # 40-digit reference serves both edges.
+    mpmath = pytest.importorskip("mpmath")
+    cases = []
+    for n in (8, 16, 32):
+        for name, extra in (("band", {}), ("band_u", {"u": 0.3})):
+            family = FAMILIES[name]
+            edge = metric_positivity_sweep(name, n, -1.0, 1.0, 41,
+                                           param_tol=1e-12,
+                                           **extra).edge_positive
+            for omega in (edge * (1 - 1e-6), edge * (1 + 1e-6)):
+                cases.append((family.build(n, omega=omega, **extra),
+                              family.build(n, omega=-omega, **extra)))
+    for xi in (-50.0, -1.0, 0.5, 3.0, 50.0):
+        cases += [(metric_n3_special(xi),), (metric_n4_special(xi),)]
+    signs = []
+    with mpmath.workdps(40):
+        for thetas in cases:
+            exact = mpmath.eighe(mpmath.matrix(thetas[0].matrix.tolist()),
+                                 eigvals_only=True)
+            want = min(exact) > 0
+            for theta in thetas:
+                assert (hermitian_eigenvalues(theta)[0] > 0.0) == want, theta
+            signs.append(want)
+    # each band family and size gives one point on either side of its edge
+    assert signs.count(False) == 6
 
 
-def test_jacobi_handles_huge_band_entries():
-    # Band entries grow like |1 - i w|^n; the sweep must still converge.
-    theta = metric_band(32, 2.0)
-    eigs = hermitian_eigenvalues(theta)
-    expect = np.linalg.eigvalsh(theta.matrix)
-    assert np.max(np.abs(eigs - expect)) < 1e-10 * np.linalg.norm(theta.matrix)
-
-
-def test_jacobi_budget_and_trivial_inputs():
-    a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
-    with pytest.raises(NoConvergence):
-        hermitian_eigenvalues(a, max_sweeps=0)
+def test_hermitian_eigenvalues_trivial_inputs():
     assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))),
                           np.zeros(3))
     d = hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert np.array_equal(d, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 def test_verify_metric_report():
