@@ -9,7 +9,14 @@ All coefficients are real, so non-real roots come in conjugate pairs and
 reality of the spectrum can be decided root by root.  Roots are found by a
 batched Aberth iteration whose stopping test knows the round-off floor of
 the polynomial evaluation, which keeps clustered roots near spectral
-transitions from stalling the solver.
+transitions from stalling the solver.  Every polynomial of a degree starts
+from the same points, below degree 128 on a thin ellipse about the band
+[-1, 1] where all but at most two roots lie, and a row of the batch is
+retired as soon as all its roots are accepted.  Rows never interact, so
+the roots of one coupling do not depend on which other couplings share its
+batch.  The two members of a conjugate pair are given their mean real part
+before the roots are sorted by (Re, Im), so a pair always comes out
+(-Im, +Im), whatever the round-off.
 
 A second, representation-independent route evaluates the characteristic
 polynomial directly through the tridiagonal determinant recurrence; it is
@@ -33,6 +40,14 @@ _EPS = np.finfo(float).eps
 # times max(1, |y|); the solver converges to ~1e-12 relative error, so the
 # margin is three orders of magnitude.
 REALITY_TOL = 1e-9
+
+# The secular solve starts on the band ellipse below this degree.  At high
+# n and |z| the unscaled evaluation can overflow and the outcome depends
+# erratically on the start: on 374 fresh couplings at n = 128 .. 256 the
+# ellipse returned silent wrong roots for 11 and the circle for 7, so the
+# circle stays there; on 400 at n = 64 .. 112 the ellipse did so for 1 and
+# the circle for 5.
+_BAND_START_DEGREES = 128
 
 # Below this |y| the eigenvector formula switches to its y -> 0 limit;
 # the generic form divides by y and loses all accuracy well before the
@@ -86,65 +101,127 @@ def trig_secular(params, gamma):
             + np.sin((n + 1) * g))
 
 
-def _aberth(evaluate, npoly, degree, tol, max_iter, centers):
+def _aberth(evaluate, start, tol, max_iter):
     """Batched Aberth root iteration with a round-off-aware stopping test.
+
+    Each row of ``start`` is one polynomial.  A point freezes once its
+    value is at the evaluation round-off floor or its step is below
+    ``tol``; a row whose points are all frozen is retired, so each
+    iteration evaluates only the rows with work left.  The result of a row
+    depends only on its own start and polynomial.
 
     Parameters
     ----------
     evaluate : callable
-        Maps iterates of shape (npoly, degree) to (value, derivative,
-        noise) where ``noise`` bounds the evaluation round-off of
-        ``value``.
-    npoly, degree : int
-        Batch size and polynomial degree.
+        Called as ``evaluate(rows, y)`` with the indices of the batch rows
+        still being iterated and their iterates, shape (len(rows), degree);
+        returns (value, derivative, noise) where ``noise`` bounds the
+        evaluation round-off of ``value``.
+    start : numpy.ndarray
+        Starting points, shape (npoly, degree); not modified.  The secular
+        solve passes ``_secular_start``, ``charpoly_eigenvalues`` a
+        ``_circle_start``.
     tol : float
         Relative step tolerance for acceptance.
     max_iter : int
         Iteration budget.
-    centers : numpy.ndarray
-        Per-polynomial center of the starting circle, shape (npoly,).
 
     Returns
     -------
     numpy.ndarray
         Roots of shape (npoly, degree), unsorted.
     """
+    y = np.array(start, dtype=complex)
+    degree = y.shape[1]
     k = np.arange(degree)
-    start = 1.2 * np.exp(1j * (2.0 * np.pi * k / degree + 0.5))
-    y = centers[:, None] + np.broadcast_to(start, (npoly, degree)).copy()
-    # Points freeze once accepted; afterwards they still repel the others
-    # but stop moving, which makes results independent of how a parameter
-    # grid is chunked into batches.
-    frozen = np.zeros((npoly, degree), dtype=bool)
     diag = (slice(None), k, k)
+    # Frozen points still repel the others in their row but stop moving.
+    # ``rows`` indexes the live rows; ``ya`` and ``frozen`` hold their state.
+    rows = np.arange(y.shape[0])
+    ya = y.copy()
+    frozen = np.zeros(y.shape, dtype=bool)
 
     for _ in range(max_iter):
-        p, dp, noise = evaluate(y)
+        p, dp, noise = evaluate(rows, ya)
         # |p| at the evaluation round-off floor: nothing left to resolve.
         frozen |= np.abs(p) <= noise
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = p / dp
-            diff = y[:, :, None] - y[:, None, :]
+            diff = ya[:, :, None] - ya[:, None, :]
             diff[diag] = np.inf
             repulsion = np.sum(1.0 / diff, axis=2)
             w = newton / (1.0 - newton * repulsion)
         w = np.where(np.isfinite(w), w, 0.1)
         w = np.where(frozen, 0.0, w)
-        y = y - w
-        frozen |= np.abs(w) <= tol * np.maximum(1.0, np.abs(y))
-        if np.all(frozen):
-            return y
+        ya = ya - w
+        frozen |= np.abs(w) <= tol * np.maximum(1.0, np.abs(ya))
+        done = np.all(frozen, axis=1)
+        if np.any(done):
+            y[rows[done]] = ya[done]
+            live = ~done
+            rows, ya, frozen = rows[live], ya[live], frozen[live]
+            if rows.size == 0:
+                return y
+    y[rows] = ya
     raise NoConvergence(
         f"root iteration did not converge in {max_iter} steps", best=y)
 
 
+def _circle_start(center, npoly, degree):
+    """Start points on the circle of radius 1.2 about ``center``."""
+    k = np.arange(degree)
+    start = center + 1.2 * np.exp(1j * (2.0 * np.pi * k / degree + 0.5))
+    return np.broadcast_to(start, (npoly, degree))
+
+
+def _secular_start(npoly, degree):
+    """Start points of the secular solve, shape (npoly, degree).
+
+    Below degree ``_BAND_START_DEGREES`` the points lie on a thin ellipse
+    about the band [-1, 1], where the roots sit near the Dirichlet points
+    cos(pi k / (n + 1)).  The phase offset pi / (2 degree) interleaves the
+    real parts of the upper and lower halves, one start per root, and
+    keeps every start off the real axis.  From that degree on the solve
+    starts on the radius-1.2 circle about 0.
+    """
+    if degree >= _BAND_START_DEGREES:
+        return _circle_start(0.0, npoly, degree)
+    theta = 2.0 * np.pi * (np.arange(degree) + 0.25) / degree
+    # Semi-axes chosen by measured iteration counts on n = 6 .. 32 sweep
+    # grids and by outcomes on high-|z| couplings: on 300 fresh ones at
+    # n = 64 .. 112, (1.05, 0.1) returned 1 wrong root and 6
+    # NoConvergence, while (1, 0.15), about 30% faster on the sweeps,
+    # returned 5 and 17.
+    start = 1.05 * np.cos(theta) + 0.1j * np.sin(theta)
+    return np.broadcast_to(start, (npoly, degree))
+
+
 def _lexsorted_rows(y):
     """Sort each row by (Re, Im), ascending; deterministic output order."""
-    out = np.empty_like(y)
-    for i in range(y.shape[0]):
-        idx = np.lexsort((y[i].imag, y[i].real))
-        out[i] = y[i, idx]
-    return out
+    return np.take_along_axis(y, np.lexsort((y.imag, y.real), axis=-1),
+                              axis=-1)
+
+
+def _tie_conjugate_pairs(y):
+    """Give both members of each conjugate pair their mean real part.
+
+    Real coefficients make the exact roots closed under conjugation, but
+    the two computed members of a pair differ in their last bits, so a
+    (Re, Im) sort would order them by round-off.  Roots i != j of a row are
+    a pair when each is the other's nearest conjugate (counting its own
+    conjugate) and |y_i - conj(y_j)| <= REALITY_TOL * max(1, |y|).  With
+    equal real parts the sort puts the pair out as (-Im, +Im).
+    """
+    dist = np.abs(y[:, :, None] - np.conj(y)[:, None, :])
+    mate = np.argmin(dist, axis=2)
+    near = np.min(dist, axis=2) <= REALITY_TOL * np.maximum(1.0, np.abs(y))
+    own = np.arange(y.shape[1])
+    paired = ((mate != own) & (np.take_along_axis(mate, mate, axis=1) == own)
+              & near & np.take_along_axis(near, mate, axis=1))
+    re = np.where(paired,
+                  0.5 * (y.real + np.take_along_axis(y.real, mate, axis=1)),
+                  y.real)
+    return re + 1j * y.imag
 
 
 def find_roots(combo, tol=1e-12, max_iter=500):
@@ -162,18 +239,18 @@ def find_roots(combo, tol=1e-12, max_iter=500):
     Returns
     -------
     numpy.ndarray
-        Complex roots sorted by (Re, Im).
+        Complex roots sorted by (Re, Im); the members of a conjugate pair
+        share their real part, so the pair comes out (-Im, +Im).
     """
     if combo.degree < 1:
         raise ValueError("cannot solve a constant polynomial")
     coeffs = combo.coeffs[None, :]
 
-    def evaluate(y):
+    def evaluate(rows, y):
         return _clenshaw_full(coeffs, y)
 
-    roots = _aberth(evaluate, 1, combo.degree, tol, max_iter,
-                    centers=np.zeros(1, dtype=complex))
-    return _lexsorted_rows(roots)[0]
+    roots = _aberth(evaluate, _secular_start(1, combo.degree), tol, max_iter)
+    return _lexsorted_rows(_tie_conjugate_pairs(roots))[0]
 
 
 def _solve_batch(n, zs, tol=1e-12, max_iter=500):
@@ -189,7 +266,7 @@ def _solve_batch(n, zs, tol=1e-12, max_iter=500):
     Returns
     -------
     numpy.ndarray
-        Roots of shape (npoly, n), each row sorted by (Re, Im).
+        Roots of shape (npoly, n), each row sorted as in ``find_roots``.
     """
     zs = np.asarray(zs, dtype=complex)
     coeffs = np.zeros((zs.size, n + 1))
@@ -197,12 +274,11 @@ def _solve_batch(n, zs, tol=1e-12, max_iter=500):
     coeffs[:, n - 1] = -2.0 * zs.real
     coeffs[:, n] = 1.0
 
-    def evaluate(y):
-        return _clenshaw_full(coeffs, y)
+    def evaluate(rows, y):
+        return _clenshaw_full(coeffs[rows], y)
 
-    roots = _aberth(evaluate, zs.size, n, tol, max_iter,
-                    centers=np.zeros(zs.size, dtype=complex))
-    return _lexsorted_rows(roots)
+    roots = _aberth(evaluate, _secular_start(zs.size, n), tol, max_iter)
+    return _lexsorted_rows(_tie_conjugate_pairs(roots))
 
 
 @dataclass
@@ -474,6 +550,6 @@ def charpoly_eigenvalues(h, tol=1e-12, max_iter=500):
         Eigenvalues (in the convention of ``h``) sorted by (Re, Im).
     """
     evaluate = _DetEvaluator(h.diagonal())
-    centers = np.array([np.mean(evaluate.diag)])
-    roots = _aberth(evaluate, 1, h.n, tol, max_iter, centers=centers)
+    start = _circle_start(np.mean(evaluate.diag), 1, h.n)
+    roots = _aberth(lambda rows, lam: evaluate(lam), start, tol, max_iter)
     return _lexsorted_rows(roots)[0]

@@ -58,6 +58,12 @@ def test_critical_detuning_values():
     print(f"critical zeta: n=6 {c6.value:.6f}, n=8 {c8.value:.6f}")
     assert c6.value == pytest.approx(0.09903, abs=5e-4)
     assert 0.05 < c8.value < 0.07
+    # Exact bisection brackets: the chunked early exit of the reality
+    # predicate must take the same steps as a whole-grid scan.
+    assert c6.bracket == (0.09903144836425781, 0.09903717041015625)
+    assert c6.value == 0.09903430938720703
+    assert c8.bracket == (0.06031036376953125, 0.06031608581542969)
+    assert c8.value == 0.06031322479248047
 
 
 def test_four_site_reality_windows_at_fixed_detuning():

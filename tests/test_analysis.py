@@ -8,7 +8,7 @@ from hermitize.analysis import (classify_reality, continuum_convergence,
 from hermitize.errors import SingularParameters
 from hermitize.metric import metric_band_extended, metric_n3_general
 from hermitize.model import ModelParams
-from hermitize.spectrum import solve_spectrum
+from hermitize.spectrum import _solve_batch, reality_flags, solve_spectrum
 
 from _oracles import max_pair_distance
 
@@ -57,6 +57,18 @@ def test_sweep_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("HERMITIZE_THREADS", "3")
     threaded = sweep_xi(6, 0.3, 0.0, 2.0, 40)
     assert np.array_equal(base.y_roots, threaded.y_roots)
+    # Rows are solved independently, so the roots are bitwise the same
+    # however a grid is split, also on grids that cross exceptional points
+    # (some rows all real, others with a complex pair) and in uneven chunks
+    # down to a single row.
+    for n, steps in ((6, 400), (32, 120)):
+        zs = 1.0 / (0.7 - 1j * np.linspace(0.0, 3.0, steps))
+        whole = _solve_batch(n, zs)
+        real_rows = np.all(reality_flags(whole), axis=1)
+        assert real_rows.any() and not real_rows.all()
+        parts = np.split(np.arange(steps), [1, 7, 50, 93])
+        chunked = np.concatenate([_solve_batch(n, zs[c]) for c in parts])
+        assert np.array_equal(whole, chunked)
 
 
 def test_sweep_rejects_bad_thread_env(monkeypatch):
@@ -75,6 +87,23 @@ def test_critical_zeta_two_site_analytic():
     assert result.value == pytest.approx(0.5, abs=1e-3)
     assert result.bracket[0] < 0.5 + 1e-3
     assert result.n == 2
+
+
+def test_critical_zeta_chunked_scan_matches_whole_grid_bisection():
+    # On xi in [0, 0.45] the complex window of n = 4 and 6 moves from the
+    # first of the four 250-point chunks to the last during the bisection.
+    def whole_grid(n, lo, hi, tol):
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if sweep_xi(n, mid, 0.0, 0.45, 1000).all_real.all():
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    for n in (4, 6):
+        result = critical_zeta(n, xi_max=0.45, xi_steps=1000, zeta_tol=1e-4)
+        assert result.bracket == whole_grid(n, 0.0, 0.75, 1e-4)
 
 
 def test_critical_zeta_invalid_bracket():

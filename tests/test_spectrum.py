@@ -4,8 +4,9 @@ import pytest
 from hermitize.chebyshev import ChebCombo
 from hermitize.errors import DimensionMismatch, NoConvergence
 from hermitize.model import ModelParams, build_hamiltonian
-from hermitize.spectrum import (charpoly_eigenvalues, eigen_residual,
-                                find_roots, reality_flags,
+from hermitize.spectrum import (_lexsorted_rows, _solve_batch,
+                                _tie_conjugate_pairs, charpoly_eigenvalues,
+                                eigen_residual, find_roots, reality_flags,
                                 secular_polynomial, solve_spectrum,
                                 trig_secular, wavefunction)
 
@@ -98,6 +99,52 @@ def test_roots_deterministic_across_calls():
     a = solve_spectrum(p).y_roots
     b = solve_spectrum(p).y_roots
     assert np.array_equal(a, b)
+
+
+def test_lexsorted_rows_matches_per_row_sort():
+    rng = np.random.RandomState(5)
+    y = rng.randn(40, 9) + 1j * rng.randn(40, 9)
+    y[:, 1] = np.conj(y[:, 0])  # conjugate pairs share the real part
+    y[:, 2] = y[:, 0].real  # and so does a real root
+    y[::3, 4] = y[::3, 5]  # exact duplicates
+    expect = np.array([sorted(row, key=lambda v: (v.real, v.imag))
+                       for row in y])
+    assert np.array_equal(_lexsorted_rows(y), expect)
+
+
+def test_conjugate_pair_order_does_not_depend_on_round_off():
+    a = 0.3
+    b = np.nextafter(a, 1.0)  # pair members one ulp apart in Re
+    m = 0.5 * (a + b)
+    rows = np.array([
+        [b + 0.2j, a - 0.2j, 0.7 + 1e-17j, -0.5 + 0j],
+        [a + 0.2j, b - 0.2j, -0.5 + 0j, 0.7 + 1e-17j],
+        [a - 0.2j, -0.5 + 0j, 0.7 + 1e-17j, b + 0.2j],
+    ])
+    out = _lexsorted_rows(_tie_conjugate_pairs(rows))
+    expect = np.array([-0.5, m - 0.2j, m + 0.2j, 0.7 + 1e-17j])
+    assert np.array_equal(out, np.broadcast_to(expect, out.shape))
+    # Near-real roots of opposite Im sign and roots that are not close to
+    # each other's conjugate keep their values.
+    apart = np.array([[0.5 + 1e-12j, 0.5 + 1e-3 - 1e-12j,
+                       0.3 + 0.5j, 0.7 - 0.4j]])
+    assert np.array_equal(_tie_conjugate_pairs(apart), apart)
+    # Solver output: every complex pair shares its real part, -Im first.
+    y = _solve_batch(32, 1.0 / (0.7 - 1j * np.linspace(0.0, 3.0, 60)))
+    lower = ~reality_flags(y) & (y.imag < 0)
+    assert lower.any()
+    partner = np.roll(y, -1, axis=1)[lower]
+    assert np.array_equal(partner.real, y[lower].real)
+    assert np.all(partner.imag > 0)
+
+
+def test_band_start_needs_few_iterations():
+    # Started on the ellipse about [-1, 1], the solve needs at most 14
+    # iterations here; from the radius-1.2 circle it needed 21 to 42.
+    for xi, zeta in ((0.4, 0.3), (1.2, 0.6), (0.05, 0.9), (3.0, -0.5)):
+        for n in (32, 64):
+            combo = secular_polynomial(ModelParams(n=n, xi=xi, zeta=zeta))
+            find_roots(combo, max_iter=16)
 
 
 def test_find_roots_rejects_constants_and_budget():
