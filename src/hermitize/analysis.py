@@ -17,18 +17,13 @@ import numpy as np
 from .errors import SingularParameters
 from .metric import FAMILIES, hermitian_eigenvalues
 from .model import energy_from_y
-from .spectrum import REALITY_TOL, _solve_batch, reality_flags
+from .spectrum import (REALITY_TOL, _solve_batch, _solve_blocks,
+                       reality_flags)
 
 # Two real secular roots closer than this are flagged as a near-merge:
 # the parameter point sits next to a complexification threshold and the
 # real/complex classification is not robust there.
 MERGE_TOL = 1e-4
-
-# critical_zeta solves its xi grid in chunks of about this many points and
-# stops at the first chunk with a non-real root.  On the 2,000-point grids
-# of critical_zeta(6) and (8), 250 and 500 took about the same time, 125
-# and 1,000 were slower, and a single chunk took 1.5-2 times as long.
-_CRITICAL_CHUNK = 250
 
 
 def _max_threads():
@@ -269,12 +264,13 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     the grid".  The upper bracket end is enlarged automatically (up to
     0.99) if the spectrum is still real there.
 
-    The predicate solves the grid in chunks of about 250 points, in grid
-    order and in the calling thread (``HERMITIZE_THREADS`` does not apply),
-    and stops at the first chunk with a non-real root.  Roots do not depend
-    on the chunking, so the bisection steps and the result are those of a
-    whole-grid scan; but a ``NoConvergence`` in a chunk after the first
-    non-real one is not raised.
+    The predicate walks the grid in the row blocks of the batched solve
+    (``spectrum._solve_blocks``), in grid order and in the calling thread
+    (``HERMITIZE_THREADS`` does not apply), and stops at the first block
+    with a non-real root.  Roots do not depend on the blocks, so the
+    bisection steps and the result are those of a whole-grid scan; but a
+    ``NoConvergence`` in a block after the first non-real one is not
+    raised.
 
     Parameters
     ----------
@@ -296,13 +292,10 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     CriticalResult
     """
     xi_grid = np.linspace(0.0, xi_max, xi_steps)
-    chunks = np.array_split(np.arange(xi_steps),
-                            -(-xi_steps // _CRITICAL_CHUNK))
 
     def all_real(zeta):
-        zs = _zs_from_grid(xi_grid, zeta)
-        return all(np.all(reality_flags(_solve_batch(n, zs[c], tol=tol)))
-                   for c in chunks)
+        blocks = _solve_blocks(n, _zs_from_grid(xi_grid, zeta), tol=tol)
+        return all(np.all(reality_flags(roots)) for roots in blocks)
 
     lo, hi = bracket
     if not all_real(lo):

@@ -153,10 +153,9 @@ def _clenshaw_full(coeffs, y):
     Parameters
     ----------
     coeffs : numpy.ndarray
-        Coefficients c_0 .. c_d (real), low degree first, or a 2-d array
-        of shape (npoly, d + 1) evaluated row-wise against ``y`` rows.
+        Coefficients c_0 .. c_d (real), low degree first.
     y : numpy.ndarray
-        Evaluation points; for 2-d ``coeffs``, shape (npoly, npts).
+        Evaluation points, any shape.
 
     Returns
     -------
@@ -165,20 +164,17 @@ def _clenshaw_full(coeffs, y):
         shaped like ``y``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    squeeze = coeffs.ndim == 1
-    c2 = np.atleast_2d(coeffs)
-    y_in = np.asarray(y)
-    y2 = y_in.reshape(1, -1) if squeeze else y_in
-    two_y = 2 * y2
-    nc = c2.shape[1]
+    y = np.asarray(y)
+    two_y = 2 * y
+    nc = coeffs.size
 
-    b1 = np.zeros_like(y2)
-    b2 = np.zeros_like(y2)
-    d1 = np.zeros_like(y2)
-    d2 = np.zeros_like(y2)
-    loc = np.empty((nc,) + y2.shape)
+    b1 = np.zeros_like(y)
+    b2 = np.zeros_like(y)
+    d1 = np.zeros_like(y)
+    d2 = np.zeros_like(y)
+    loc = np.empty((nc,) + y.shape)
     for j in range(nc - 1, -1, -1):
-        c = c2[:, j][:, None]
+        c = coeffs[j]
         loc[j] = np.abs(two_y) * np.abs(b1) + np.abs(b2) + np.abs(c)
         b1, b2 = two_y * b1 - b2 + c, b1
         d1, d2 = two_y * d1 - d2 + 2 * b2, d1
@@ -187,14 +183,9 @@ def _clenshaw_full(coeffs, y):
     # would explode like (1 + sqrt(2))^degree inside [-1, 1] and mask real
     # convergence, so the genuine oscillating values are required here.
     u_cur = two_y.copy()
-    u_prev = np.ones_like(y2)
+    u_prev = np.ones_like(y)
     noise = loc[0] * np.abs(u_prev)
     for j in range(1, nc):
         noise = noise + loc[j] * np.abs(u_cur)
         u_cur, u_prev = two_y * u_cur - u_prev, u_cur
-    noise = 3 * _EPS * noise
-
-    if squeeze:
-        shape = y_in.shape
-        return b1.reshape(shape), d1.reshape(shape), noise.reshape(shape)
-    return b1, d1, noise
+    return b1, d1, 3 * _EPS * noise

@@ -9,14 +9,19 @@ All coefficients are real, so non-real roots come in conjugate pairs and
 reality of the spectrum can be decided root by root.  Roots are found by a
 batched Aberth iteration whose stopping test knows the round-off floor of
 the polynomial evaluation, which keeps clustered roots near spectral
-transitions from stalling the solver.  Every polynomial of a degree starts
-from the same points, below degree 128 on a thin ellipse about the band
-[-1, 1] where all but at most two roots lie, and a row of the batch is
-retired as soon as all its roots are accepted.  Rows never interact, so
-the roots of one coupling do not depend on which other couplings share its
-batch.  The two members of a conjugate pair are given their mean real part
-before the roots are sorted by (Re, Im), so a pair always comes out
-(-Im, +Im), whatever the round-off.
+transitions from stalling the solver.  The secular function is evaluated
+by one three-term Clenshaw recurrence (``_secular_terms``) that takes the
+coefficients (|z|^2, -2 Re z, 1) point by point.  Every polynomial of a
+degree starts from the same points, below degree 128 on a thin ellipse
+about the band [-1, 1] where all but at most two roots lie; each iteration
+evaluates and steps only the roots not yet accepted, and a batch is solved
+in blocks of ``_BLOCK_ROWS`` couplings.  Rows never interact, so the roots
+of one coupling do not depend on the block size or on which other
+couplings share its batch.  An evaluation that overflows (inf or nan)
+never accepts a root: such a solve ends in ``NoConvergence``.  The two
+members of a conjugate pair are given their mean real part before the
+roots are sorted by (Re, Im), so a pair always comes out (-Im, +Im),
+whatever the round-off.
 
 A second, representation-independent route evaluates the characteristic
 polynomial directly through the tridiagonal determinant recurrence; it is
@@ -48,6 +53,14 @@ REALITY_TOL = 1e-9
 # circle stays there; on 400 at n = 64 .. 112 the ellipse did so for 1 and
 # the circle for 5.
 _BAND_START_DEGREES = 128
+
+# The batched solve works through its couplings in blocks of this many
+# rows, which keeps the per-iteration arrays (the (n + 1)-deep Clenshaw
+# magnitudes and the repulsion rows) near cache size.  Roots do not depend
+# on it.  On 2,000-point sweeps (n = 8, 32) and critical_zeta(6), (8),
+# blocks of 250 to 512 rows ran about equally fast, 128 rows and one
+# 2,000-row block slower, and peak memory grows with the block.
+_BLOCK_ROWS = 250
 
 # Below this |y| the eigenvector formula switches to its y -> 0 limit;
 # the generic form divides by y and loses all accuracy well before the
@@ -106,17 +119,20 @@ def _aberth(evaluate, start, tol, max_iter):
 
     Each row of ``start`` is one polynomial.  A point freezes once its
     value is at the evaluation round-off floor or its step is below
-    ``tol``; a row whose points are all frozen is retired, so each
-    iteration evaluates only the rows with work left.  The result of a row
-    depends only on its own start and polynomial.
+    ``tol``, and only the points still moving are evaluated and stepped.
+    Each moving point is repelled by every other point of its row, frozen
+    ones included.  A value, derivative or noise bound that is not finite
+    (overflow, inf, nan) never freezes a point, so a root the evaluation
+    cannot resolve ends in ``NoConvergence``.  The result of a row depends
+    only on its own start and polynomial.
 
     Parameters
     ----------
     evaluate : callable
-        Called as ``evaluate(rows, y)`` with the indices of the batch rows
-        still being iterated and their iterates, shape (len(rows), degree);
-        returns (value, derivative, noise) where ``noise`` bounds the
-        evaluation round-off of ``value``.
+        Called as ``evaluate(rows, y)`` with 1-d arrays of the moving
+        points: ``rows[i]`` is the batch row of the iterate ``y[i]``.
+        Returns 1-d (value, derivative, noise) at those points, where
+        ``noise`` bounds the evaluation round-off of ``value``.
     start : numpy.ndarray
         Starting points, shape (npoly, degree); not modified.  The secular
         solve passes ``_secular_start``, ``charpoly_eigenvalues`` a
@@ -131,38 +147,37 @@ def _aberth(evaluate, start, tol, max_iter):
     numpy.ndarray
         Roots of shape (npoly, degree), unsorted.
     """
-    y = np.array(start, dtype=complex)
+    y = np.array(start, dtype=complex, order="C")
     degree = y.shape[1]
-    k = np.arange(degree)
-    diag = (slice(None), k, k)
-    # Frozen points still repel the others in their row but stop moving.
-    # ``rows`` indexes the live rows; ``ya`` and ``frozen`` hold their state.
-    rows = np.arange(y.shape[0])
-    ya = y.copy()
-    frozen = np.zeros(y.shape, dtype=bool)
+    flat = y.reshape(-1)
+    live = np.arange(flat.size)
 
     for _ in range(max_iter):
+        rows, cols = np.divmod(live, degree)
+        ya = flat[live]
         p, dp, noise = evaluate(rows, ya)
+        finite = np.isfinite(p) & np.isfinite(dp) & np.isfinite(noise)
         # |p| at the evaluation round-off floor: nothing left to resolve.
-        frozen |= np.abs(p) <= noise
+        frozen = finite & (np.abs(p) <= noise)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = p / dp
-            diff = ya[:, :, None] - ya[:, None, :]
-            diff[diag] = np.inf
-            repulsion = np.sum(1.0 / diff, axis=2)
+            # One contiguous row of 1 / (y_i - y_j) over the whole row per
+            # moving point, so the sum runs in the order of a whole-row
+            # (degree, degree) block; built in place in the gathered rows.
+            inv = y[rows]
+            np.subtract(ya[:, None], inv, out=inv)
+            inv[np.arange(live.size), cols] = np.inf
+            np.divide(1.0, inv, out=inv)
+            repulsion = np.sum(inv, axis=1)
             w = newton / (1.0 - newton * repulsion)
         w = np.where(np.isfinite(w), w, 0.1)
         w = np.where(frozen, 0.0, w)
         ya = ya - w
-        frozen |= np.abs(w) <= tol * np.maximum(1.0, np.abs(ya))
-        done = np.all(frozen, axis=1)
-        if np.any(done):
-            y[rows[done]] = ya[done]
-            live = ~done
-            rows, ya, frozen = rows[live], ya[live], frozen[live]
-            if rows.size == 0:
-                return y
-    y[rows] = ya
+        frozen |= finite & (np.abs(w) <= tol * np.maximum(1.0, np.abs(ya)))
+        flat[live] = ya
+        live = live[~frozen]
+        if live.size == 0:
+            return y
     raise NoConvergence(
         f"root iteration did not converge in {max_iter} steps", best=y)
 
@@ -244,13 +259,93 @@ def find_roots(combo, tol=1e-12, max_iter=500):
     """
     if combo.degree < 1:
         raise ValueError("cannot solve a constant polynomial")
-    coeffs = combo.coeffs[None, :]
 
     def evaluate(rows, y):
-        return _clenshaw_full(coeffs, y)
+        return _clenshaw_full(combo.coeffs, y)
 
     roots = _aberth(evaluate, _secular_start(1, combo.degree), tol, max_iter)
     return _lexsorted_rows(_tie_conjugate_pairs(roots))[0]
+
+
+def _secular_terms(n, sq, re2, y):
+    """Secular function, its y-derivative and its round-off bound.
+
+    Evaluates sq U_{n-2}(y) + re2 U_{n-1}(y) + U_n(y) at the 1-d points
+    ``y``, with the coefficients sq = |z|^2 and re2 = -2 Re z given point
+    by point.  Every floating-point operation is the one
+    ``chebyshev._clenshaw_full`` performs on the padded coefficients
+    (0, .., 0, sq, re2, 1), so value, derivative and noise are bitwise
+    equal to it.  Only bookkeeping differs: |2y| is taken once, |b_{j+1}|
+    is kept as the next step's |b_{j+2}|, the additions of the n - 2 zero
+    coefficients (and the product with |U_0| = 1) are skipped, and every
+    step writes into preallocated buffers.
+    """
+    two_y = 2 * y
+    abs_two_y = np.abs(two_y)
+    coeff = {n: (1.0, 1.0), n - 1: (re2, np.abs(re2)),
+             n - 2: (sq, np.abs(sq))}
+    b1, b2, d1, d2 = np.zeros((4, y.size), dtype=complex)
+    bt, dt, t = np.empty((3, y.size), dtype=complex)
+    abs_b1, abs_b2 = np.zeros((2, y.size))
+    loc = np.empty((n + 1, y.size))
+    for j in range(n, -1, -1):
+        c, abs_c = coeff.get(j, (None, None))
+        # loc_j = |2y| |b_{j+1}| + |b_{j+2}| + |c_j|
+        abs_b1, abs_b2 = abs_b2, abs_b1
+        np.abs(b1, out=abs_b1)
+        np.multiply(abs_two_y, abs_b1, out=loc[j])
+        loc[j] += abs_b2
+        # b_j = 2y b_{j+1} - b_{j+2} + c_j
+        np.multiply(two_y, b1, out=bt)
+        bt -= b2
+        if c is not None:
+            loc[j] += abs_c
+            bt += c
+        b1, b2, bt = bt, b1, b2
+        # d_j = 2y d_{j+1} - d_{j+2} + 2 b_{j+1}
+        np.multiply(two_y, d1, out=dt)
+        dt -= d2
+        np.multiply(2, b2, out=t)
+        dt += t
+        d1, d2, dt = dt, d1, d2
+
+    # Forward U_j(y) against the local magnitudes, as in _clenshaw_full.
+    noise = loc[0].copy()
+    u_cur, u_prev = two_y.copy(), np.ones_like(two_y)
+    for j in range(1, n + 1):
+        np.abs(u_cur, out=abs_b1)
+        loc[j] *= abs_b1
+        noise += loc[j]
+        if j < n:
+            np.multiply(two_y, u_cur, out=bt)
+            bt -= u_prev
+            u_cur, u_prev, bt = bt, u_cur, u_prev
+    noise *= 3 * _EPS
+    return b1, d1, noise
+
+
+def _secular_roots(n, sq, re2, tol, max_iter):
+    """Sorted secular roots for the coefficient arrays ``sq``, ``re2``."""
+    def evaluate(rows, y):
+        return _secular_terms(n, sq[rows], re2[rows], y)
+
+    roots = _aberth(evaluate, _secular_start(sq.size, n), tol, max_iter)
+    return _lexsorted_rows(_tie_conjugate_pairs(roots))
+
+
+def _solve_blocks(n, zs, tol=1e-12, max_iter=500):
+    """Secular roots of the couplings ``zs``, one block at a time.
+
+    Yields the roots of ``_BLOCK_ROWS`` consecutive couplings (fewer in
+    the last block), each row sorted as in ``find_roots``.  A block that
+    does not converge raises ``NoConvergence``; its ``best`` holds that
+    block's iterates.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    sq, re2 = np.abs(zs) ** 2, -2.0 * zs.real
+    for lo in range(0, zs.size, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        yield _secular_roots(n, sq[block], re2[block], tol, max_iter)
 
 
 def _solve_batch(n, zs, tol=1e-12, max_iter=500):
@@ -266,19 +361,11 @@ def _solve_batch(n, zs, tol=1e-12, max_iter=500):
     Returns
     -------
     numpy.ndarray
-        Roots of shape (npoly, n), each row sorted as in ``find_roots``.
+        Roots of shape (npoly, n), each row sorted as in ``find_roots``;
+        the rows are solved in blocks by ``_solve_blocks``.
     """
-    zs = np.asarray(zs, dtype=complex)
-    coeffs = np.zeros((zs.size, n + 1))
-    coeffs[:, n - 2] = np.abs(zs) ** 2
-    coeffs[:, n - 1] = -2.0 * zs.real
-    coeffs[:, n] = 1.0
-
-    def evaluate(rows, y):
-        return _clenshaw_full(coeffs[rows], y)
-
-    roots = _aberth(evaluate, _secular_start(zs.size, n), tol, max_iter)
-    return _lexsorted_rows(_tie_conjugate_pairs(roots))
+    return np.concatenate([np.empty((0, n), dtype=complex),
+                           *_solve_blocks(n, zs, tol, max_iter)])
 
 
 @dataclass
@@ -480,8 +567,9 @@ def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
     -------
     Spectrum
     """
-    combo = secular_polynomial(params)
-    y_roots = find_roots(combo, tol=tol, max_iter=max_iter)
+    n = params.n
+    c = secular_polynomial(params).coeffs
+    y_roots = _secular_roots(n, c[n - 2:n - 1], c[n - 1:n], tol, max_iter)[0]
     energies = energy_from_y(y_roots, params.convention)
     wfs = None
     if with_wavefunctions:

@@ -4,7 +4,10 @@ Everything here avoids the code paths under test: Chebyshev polynomials
 are expanded to exact integer monomial coefficients, root sets are
 compared by greedy nearest matching (sorting by (Re, Im) can swap members
 of a conjugate pair whose real parts differ at round-off, which would
-fake errors of twice the imaginary part).
+fake errors of twice the imaginary part).  The secular solver's bitwise
+oracles (``clenshaw_full``, ``aberth_rows``, ``solve_batch``) are the
+earlier whole-row implementation, kept here because the live-point solver
+must reproduce their roots bit for bit.
 """
 
 import numpy as np
@@ -93,3 +96,113 @@ def metric_band_recurrence(n, omega):
         for j in range(n):
             theta[i, j] = band[j - i] if j >= i else band[i - j].conjugate()
     return theta
+
+
+def clenshaw_full(coeffs, y):
+    """The earlier batch evaluator of second-kind combinations.
+
+    Clenshaw recurrence with derivative and round-off bound, for 1-d
+    coefficients or a 2-d (npoly, d + 1) coefficient array evaluated row
+    by row against the rows of ``y``.  The secular solver's three-term
+    evaluator must reproduce it bit for bit on the padded coefficients.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    squeeze = coeffs.ndim == 1
+    c2 = np.atleast_2d(coeffs)
+    y_in = np.asarray(y)
+    y2 = y_in.reshape(1, -1) if squeeze else y_in
+    two_y = 2 * y2
+    nc = c2.shape[1]
+
+    b1 = np.zeros_like(y2)
+    b2 = np.zeros_like(y2)
+    d1 = np.zeros_like(y2)
+    d2 = np.zeros_like(y2)
+    loc = np.empty((nc,) + y2.shape)
+    for j in range(nc - 1, -1, -1):
+        c = c2[:, j][:, None]
+        loc[j] = np.abs(two_y) * np.abs(b1) + np.abs(b2) + np.abs(c)
+        b1, b2 = two_y * b1 - b2 + c, b1
+        d1, d2 = two_y * d1 - d2 + 2 * b2, d1
+
+    u_cur = two_y.copy()
+    u_prev = np.ones_like(y2)
+    noise = loc[0] * np.abs(u_prev)
+    for j in range(1, nc):
+        noise = noise + loc[j] * np.abs(u_cur)
+        u_cur, u_prev = two_y * u_cur - u_prev, u_cur
+    noise = 3 * np.finfo(float).eps * noise
+
+    if squeeze:
+        shape = y_in.shape
+        return b1.reshape(shape), d1.reshape(shape), noise.reshape(shape)
+    return b1, d1, noise
+
+
+def aberth_rows(evaluate, start, tol, max_iter):
+    """The earlier batched Aberth iteration, which works on whole rows.
+
+    ``evaluate(rows, y)`` gets the live rows and all their points, frozen
+    ones included, and the repulsion is built as a (rows, degree, degree)
+    tensor.  A row retires once all its points are frozen.  Kept as the
+    oracle that the live-point solver must match bit for bit.
+    """
+    from hermitize.errors import NoConvergence
+
+    y = np.array(start, dtype=complex)
+    degree = y.shape[1]
+    k = np.arange(degree)
+    diag = (slice(None), k, k)
+    rows = np.arange(y.shape[0])
+    ya = y.copy()
+    frozen = np.zeros(y.shape, dtype=bool)
+
+    for _ in range(max_iter):
+        p, dp, noise = evaluate(rows, ya)
+        frozen |= np.abs(p) <= noise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = p / dp
+            diff = ya[:, :, None] - ya[:, None, :]
+            diff[diag] = np.inf
+            repulsion = np.sum(1.0 / diff, axis=2)
+            w = newton / (1.0 - newton * repulsion)
+        w = np.where(np.isfinite(w), w, 0.1)
+        w = np.where(frozen, 0.0, w)
+        ya = ya - w
+        frozen |= np.abs(w) <= tol * np.maximum(1.0, np.abs(ya))
+        done = np.all(frozen, axis=1)
+        if np.any(done):
+            y[rows[done]] = ya[done]
+            live = ~done
+            rows, ya, frozen = rows[live], ya[live], frozen[live]
+            if rows.size == 0:
+                return y
+    y[rows] = ya
+    raise NoConvergence(
+        f"root iteration did not converge in {max_iter} steps", best=y)
+
+
+def padded_secular_coeffs(n, zs):
+    """Secular coefficients (|z|^2, -2 Re z, 1) padded to (npoly, n + 1)."""
+    zs = np.asarray(zs, dtype=complex)
+    coeffs = np.zeros((zs.size, n + 1))
+    coeffs[:, n - 2] = np.abs(zs) ** 2
+    coeffs[:, n - 1] = -2.0 * zs.real
+    coeffs[:, n] = 1.0
+    return coeffs
+
+
+def solve_batch(n, zs, tol=1e-12, max_iter=500):
+    """The earlier ``spectrum._solve_batch``: one whole-batch solve with
+    ``aberth_rows`` and ``clenshaw_full`` on padded coefficient rows."""
+    from hermitize.spectrum import (_lexsorted_rows, _secular_start,
+                                    _tie_conjugate_pairs)
+
+    coeffs = padded_secular_coeffs(n, zs)
+
+    def evaluate(rows, y):
+        return clenshaw_full(coeffs[rows], y)
+
+    roots = aberth_rows(evaluate, _secular_start(coeffs.shape[0], n), tol,
+                        max_iter)
+    return _lexsorted_rows(_tie_conjugate_pairs(roots))

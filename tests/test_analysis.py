@@ -91,7 +91,8 @@ def test_critical_zeta_two_site_analytic():
 
 def test_critical_zeta_chunked_scan_matches_whole_grid_bisection():
     # On xi in [0, 0.45] the complex window of n = 4 and 6 moves from the
-    # first of the four 250-point chunks to the last during the bisection.
+    # first of the four 250-row solve blocks to the last during the
+    # bisection.
     def whole_grid(n, lo, hi, tol):
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)

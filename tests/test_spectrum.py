@@ -4,13 +4,30 @@ import pytest
 from hermitize.chebyshev import ChebCombo
 from hermitize.errors import DimensionMismatch, NoConvergence
 from hermitize.model import ModelParams, build_hamiltonian
-from hermitize.spectrum import (_lexsorted_rows, _solve_batch,
+from hermitize import spectrum
+from hermitize.spectrum import (_DetEvaluator, _aberth, _circle_start,
+                                _lexsorted_rows, _secular_start,
+                                _secular_terms, _solve_batch,
                                 _tie_conjugate_pairs, charpoly_eigenvalues,
                                 eigen_residual, find_roots, reality_flags,
                                 secular_polynomial, solve_spectrum,
                                 trig_secular, wavefunction)
 
+import _oracles
 from _oracles import combo_monomial, max_pair_distance
+
+
+def _same_bits(a, b):
+    """Bitwise equality, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _ep_grid(zeta, xi_max, steps):
+    # Couplings along a xi line: rows before and after exceptional points.
+    xi = np.linspace(0.0, xi_max, steps)
+    return ((1.0 - zeta) + 1j * xi) / ((1.0 - zeta) ** 2 + xi ** 2)
 
 
 def test_secular_coefficients_by_hand():
@@ -225,3 +242,122 @@ def test_charpoly_respects_convention():
     lat = charpoly_eigenvalues(build_hamiltonian(p))
     shf = charpoly_eigenvalues(build_hamiltonian(p).shifted())
     assert max_pair_distance(lat, shf + 2.0) < 1e-10
+
+
+def test_secular_terms_match_padded_clenshaw_bitwise():
+    # Value, derivative and noise are those of the whole-row Clenshaw on
+    # the padded coefficients, bit for bit; n = 2 puts |z|^2 at index 0.
+    rng = np.random.RandomState(41)
+    for n in (2, 3, 8, 32, 128):
+        zs = np.concatenate([[0.0, 1.0, 0.5j, -2.0],
+                             1.0 / (rng.uniform(-1, 1.5, 12)
+                                    - 1j * rng.uniform(-3, 3, 12))])
+        coeffs = _oracles.padded_secular_coeffs(n, zs)
+        rows = np.repeat(np.arange(zs.size), n)
+        for scale in (0.3, 1.0, 1.2, 25.0):
+            y = scale * (rng.randn(zs.size, n) + 1j * rng.randn(zs.size, n))
+            y[0, 0] = 0.5  # exactly real
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = _oracles.clenshaw_full(coeffs, y)
+                got = _secular_terms(n, coeffs[rows, n - 2],
+                                     coeffs[rows, n - 1], y.ravel())
+            for e, g in zip(expect, got):
+                assert _same_bits(e.ravel(), g)
+
+
+@pytest.mark.parametrize("block", [1, 7, spectrum._BLOCK_ROWS])
+def test_solve_batch_matches_whole_row_oracle_bitwise(monkeypatch, block):
+    # The live-point iteration in row blocks returns the roots of the
+    # whole-batch, whole-row iteration bit for bit, on grids that cross
+    # exceptional points and, at n = 128, from the circle start.
+    monkeypatch.setattr(spectrum, "_BLOCK_ROWS", block)
+    cases = [(n, _ep_grid(zeta, 3.0, steps))
+             for n, steps in ((2, 300), (3, 300), (6, 300), (8, 300),
+                              (32, 40), (64, 12))
+             for zeta in (0.7, 0.6)]
+    cases.append((128, 1.0 / (0.7 - 1j * np.linspace(0.0, 2.0, 3))))
+    for n, zs in cases:
+        if block == 1 and zs.size > 40:
+            zs = zs[::10]
+        got = _solve_batch(n, zs)
+        assert _same_bits(got, _oracles.solve_batch(n, zs))
+        real_rows = np.all(reality_flags(got), axis=1)
+        assert n == 128 or (real_rows.any() and not real_rows.all())
+
+
+def test_find_roots_and_charpoly_match_whole_row_oracle_bitwise():
+    for n in (8, 32, 64):
+        p = ModelParams(n=n, xi=1.1, zeta=0.35)
+        coeffs = secular_polynomial(p).coeffs
+
+        def clenshaw(rows, y):
+            return _oracles.clenshaw_full(coeffs[None, :], y)
+
+        expect = _oracles.aberth_rows(clenshaw, _secular_start(1, n),
+                                      1e-12, 500)
+        expect = _lexsorted_rows(_tie_conjugate_pairs(expect))[0]
+        assert _same_bits(find_roots(secular_polynomial(p)), expect)
+
+        h = build_hamiltonian(p)
+        det = _DetEvaluator(h.diagonal())
+        start = _circle_start(np.mean(det.diag), 1, n)
+        expect = _oracles.aberth_rows(lambda rows, lam: det(lam), start,
+                                      1e-12, 500)
+        assert _same_bits(charpoly_eigenvalues(h), _lexsorted_rows(expect)[0])
+
+        # The best iterate a NoConvergence carries is unchanged too.
+        with pytest.raises(NoConvergence) as got:
+            find_roots(secular_polynomial(p), max_iter=3)
+        with pytest.raises(NoConvergence) as ref:
+            _oracles.aberth_rows(clenshaw, _secular_start(1, n), 1e-12, 3)
+        assert _same_bits(got.value.best, ref.value.best)
+        zs = np.array([p.z, 1.0 / (0.5 - 0.3j), 0.2 + 0.1j])
+        with pytest.raises(NoConvergence) as got:
+            _solve_batch(n, zs, max_iter=3)
+        with pytest.raises(NoConvergence) as ref:
+            _oracles.solve_batch(n, zs, max_iter=3)
+        assert _same_bits(got.value.best, ref.value.best)
+
+
+def test_solve_spectrum_is_find_roots_bitwise():
+    rng = np.random.RandomState(8)
+    cases = [ModelParams(n=int(rng.randint(2, 65)), xi=rng.uniform(-3, 3),
+                         zeta=rng.uniform(-1.0, 0.95)) for _ in range(30)]
+    cases += [ModelParams(n=2, xi=0.0, zeta=0.0),
+              ModelParams(n=5, omega=0.0, rho=-1.0),
+              ModelParams(n=128, xi=0.4, zeta=0.3)]
+    for p in cases:
+        assert _same_bits(solve_spectrum(p).y_roots,
+                          find_roots(secular_polynomial(p)))
+
+
+def test_non_finite_evaluations_never_freeze_a_root():
+    # Overflowed evaluations: |p| = inf <= noise = inf, and a finite p with
+    # dp = inf (a zero Newton step).  Neither may count as convergence.
+    start = _circle_start(0.0, 2, 3)
+
+    def overflow(rows, y):
+        return (np.full(y.shape, complex(-np.inf, np.nan)),
+                np.ones(y.shape, complex), np.full(y.shape, np.inf))
+
+    def flat_step(rows, y):
+        return (np.full(y.shape, 1e-300 + 0j),
+                np.full(y.shape, complex(np.inf, 0.0)), np.zeros(y.shape))
+
+    for evaluate in (overflow, flat_step):
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+            _aberth(evaluate, start, 1e-12, 20)
+
+
+def test_overflowing_secular_solve_is_not_a_silent_wrong_root():
+    # At (n, xi, zeta) = (256, 0.01, 0.9) the unscaled evaluation overflows
+    # near some iterates; the solve used to return a root with
+    # sigma_min(H - E) = 13.8.  It must fail or agree with LAPACK.
+    p = ModelParams(n=256, xi=0.01, zeta=0.9)
+    try:
+        with np.errstate(all="ignore"):
+            spec = solve_spectrum(p)
+    except NoConvergence:
+        return
+    expect = np.linalg.eigvals(build_hamiltonian(p).dense())
+    assert max_pair_distance(spec.energies, expect) < 1e-8
