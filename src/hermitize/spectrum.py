@@ -568,6 +568,8 @@ def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
     Spectrum
     """
     n = params.n
+    # The coefficients of secular_polynomial, bit for bit: Python's
+    # abs(z) ** 2 and numpy's np.abs(z) ** 2 can differ in the last bit.
     c = secular_polynomial(params).coeffs
     y_roots = _secular_roots(n, c[n - 2:n - 1], c[n - 1:n], tol, max_iter)[0]
     energies = energy_from_y(y_roots, params.convention)

@@ -12,6 +12,10 @@ must reproduce their roots bit for bit.
 
 import numpy as np
 
+from hermitize.errors import NoConvergence
+from hermitize.spectrum import (_lexsorted_rows, _secular_start,
+                                _tie_conjugate_pairs)
+
 
 def max_pair_distance(a, b):
     """Greedy nearest-match distance between two equal-size point sets."""
@@ -147,8 +151,6 @@ def aberth_rows(evaluate, start, tol, max_iter):
     tensor.  A row retires once all its points are frozen.  Kept as the
     oracle that the live-point solver must match bit for bit.
     """
-    from hermitize.errors import NoConvergence
-
     y = np.array(start, dtype=complex)
     degree = y.shape[1]
     k = np.arange(degree)
@@ -195,9 +197,6 @@ def padded_secular_coeffs(n, zs):
 def solve_batch(n, zs, tol=1e-12, max_iter=500):
     """The earlier ``spectrum._solve_batch``: one whole-batch solve with
     ``aberth_rows`` and ``clenshaw_full`` on padded coefficient rows."""
-    from hermitize.spectrum import (_lexsorted_rows, _secular_start,
-                                    _tie_conjugate_pairs)
-
     coeffs = padded_secular_coeffs(n, zs)
 
     def evaluate(rows, y):
