@@ -1,5 +1,10 @@
 """Parameter-space studies: reality regions, positivity, continuum limit.
 
+Every coupling with |z| <= 1 has an all-real spectrum (the structure
+theorem: with y = (t + 1/t)/2 each band root is a level crossing of a
+phase that is strictly increasing there), so ``critical_zeta`` solves
+only the couplings of its grid with |z| > 1.
+
 The sweeps evaluate many couplings in one batched root solve.  When the
 environment variable ``HERMITIZE_THREADS`` is set to a positive integer,
 grids are split into that many chunks and solved concurrently; chunks
@@ -255,6 +260,29 @@ class CriticalResult:
     xi_steps: int
 
 
+def _check_tolerance(name, value):
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def _bisect(holds, a, b, tol):
+    """Shrink [a, b] (holds at a, fails at b; either order) to width tol.
+
+    Stops early when the midpoint is no longer strictly inside, i.e. the
+    ends are adjacent floats, so a tolerance below the float spacing
+    cannot loop forever.
+    """
+    while abs(b - a) > tol:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if holds(mid):
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
 def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
                   bracket=(0.0, 0.75), tol=1e-12):
     """Locate the largest zeta with an everywhere-real spectrum.
@@ -264,11 +292,19 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     the grid".  The upper bracket end is enlarged automatically (up to
     0.99) if the spectrum is still real there.
 
-    The predicate walks the grid in the row blocks of the batched solve
-    (``spectrum._solve_blocks``), in grid order and in the calling thread
-    (``HERMITIZE_THREADS`` does not apply), and stops at the first block
-    with a non-real root.  Roots do not depend on the blocks, so the
-    bisection steps and the result are those of a whole-grid scan; but a
+    The predicate solves only the grid couplings with |z| > 1, that is
+    (1 - zeta)^2 + xi^2 < 1.  By the structure theorem of the secular
+    polynomial (with y = (t + 1/t)/2, a root in the band is a level
+    crossing of a phase that is strictly increasing when |z| <= 1), every
+    coupling with |z| <= 1 has n real roots in (-1, 1), so it is real
+    without a solve; at zeta <= 0 no coupling is solved at all.  A
+    ``NoConvergence`` at a |z| <= 1 grid point can therefore no longer be
+    raised.  The remaining couplings are solved in the row blocks of the
+    batched solve (``spectrum._solve_blocks``), in grid order and in the
+    calling thread (``HERMITIZE_THREADS`` does not apply), and the scan
+    stops at the first block with a non-real root.  Roots do not depend
+    on the blocks or on which couplings share them, so the bisection
+    steps and the result are those of a whole-grid scan; but a
     ``NoConvergence`` in a block after the first non-real one is not
     raised.
 
@@ -278,10 +314,11 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     xi_max : float
         Upper end of the xi grid (lower end is 0).
     xi_steps : int
-        Grid resolution; complexification windows narrower than the grid
-        spacing can be missed, which biases the result upward.
+        Grid resolution, >= 1; complexification windows narrower than the
+        grid spacing can be missed, which biases the result upward.
     zeta_tol : float
-        Bisection stops when the bracket is narrower than this.
+        Bisection stops when the bracket is narrower than this, or when
+        its ends are adjacent floats; must be finite and > 0.
     bracket : (float, float)
         Initial bracket; the predicate must hold at the lower end.
     tol : float
@@ -291,10 +328,15 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     -------
     CriticalResult
     """
+    _check_tolerance("zeta_tol", zeta_tol)
+    if xi_steps < 1:
+        raise ValueError(f"xi_steps must be >= 1, got {xi_steps}")
     xi_grid = np.linspace(0.0, xi_max, xi_steps)
 
     def all_real(zeta):
-        blocks = _solve_blocks(n, _zs_from_grid(xi_grid, zeta), tol=tol)
+        # |z| <= 1 is real by the theorem; a nan coupling stays open.
+        open_xi = xi_grid[~((1.0 - zeta) ** 2 + xi_grid ** 2 >= 1.0)]
+        blocks = _solve_blocks(n, _zs_from_grid(open_xi, zeta), tol=tol)
         return all(np.all(reality_flags(roots)) for roots in blocks)
 
     lo, hi = bracket
@@ -305,12 +347,7 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
         if hi >= 0.99:
             raise ValueError("no complexification found for zeta <= 0.99")
         hi = min(0.99, hi + 0.25)
-    while hi - lo > zeta_tol:
-        mid = 0.5 * (lo + hi)
-        if all_real(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(all_real, lo, hi, zeta_tol)
     return CriticalResult(n=n, value=0.5 * (lo + hi), bracket=(lo, hi),
                           xi_max=xi_max, xi_steps=xi_steps)
 
@@ -366,7 +403,7 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
         Grid range; should contain 0, where every family is positive.
     steps : int
     param_tol : float
-        Bisection tolerance for the edges.
+        Bisection tolerance for the edges; must be finite and > 0.
     **extra :
         The family's other parameters (u, r, s), held fixed.  A required
         one that is missing, or one the family does not take, raises
@@ -376,6 +413,7 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     -------
     PositivityResult
     """
+    _check_tolerance("param_tol", param_tol)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     fam = FAMILIES[family]
@@ -393,12 +431,7 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
 
     def refine(a, b):
         # min-eig > 0 at a, <= 0 at b; returns the midpoint at param_tol.
-        while abs(b - a) > param_tol:
-            mid = 0.5 * (a + b)
-            if min_eig(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
+        a, b = _bisect(lambda v: min_eig(v) > 0.0, a, b, param_tol)
         return 0.5 * (a + b)
 
     positive = min_eigs > 0.0

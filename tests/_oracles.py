@@ -7,14 +7,18 @@ of a conjugate pair whose real parts differ at round-off, which would
 fake errors of twice the imaginary part).  The secular solver's bitwise
 oracles (``clenshaw_full``, ``aberth_rows``, ``solve_batch``) are the
 earlier whole-row implementation, kept here because the live-point solver
-must reproduce their roots bit for bit.
+must reproduce their roots bit for bit; ``critical_zeta_whole_grid`` is
+the earlier critical-detuning bisection, whose predicate solves every
+grid point, which the pruned predicate must match bracket for bracket.
 """
 
 import numpy as np
 
+from hermitize.analysis import CriticalResult, _zs_from_grid
 from hermitize.errors import NoConvergence
 from hermitize.spectrum import (_lexsorted_rows, _secular_start,
-                                _tie_conjugate_pairs)
+                                _solve_batch, _tie_conjugate_pairs,
+                                reality_flags)
 
 
 def max_pair_distance(a, b):
@@ -205,3 +209,30 @@ def solve_batch(n, zs, tol=1e-12, max_iter=500):
     roots = aberth_rows(evaluate, _secular_start(coeffs.shape[0], n), tol,
                         max_iter)
     return _lexsorted_rows(_tie_conjugate_pairs(roots))
+
+
+def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
+                             bracket=(0.0, 0.75), tol=1e-12):
+    """The earlier ``analysis.critical_zeta``: its predicate solves the
+    whole xi grid in one batch, |z| <= 1 couplings included."""
+    xi_grid = np.linspace(0.0, xi_max, xi_steps)
+
+    def all_real(zeta):
+        roots = _solve_batch(n, _zs_from_grid(xi_grid, zeta), tol=tol)
+        return bool(np.all(reality_flags(roots)))
+
+    lo, hi = bracket
+    if not all_real(lo):
+        raise ValueError(f"spectrum is not real at zeta = {lo}")
+    while all_real(hi):
+        if hi >= 0.99:
+            raise ValueError("no complexification found for zeta <= 0.99")
+        hi = min(0.99, hi + 0.25)
+    while hi - lo > zeta_tol:
+        mid = 0.5 * (lo + hi)
+        if all_real(mid):
+            lo = mid
+        else:
+            hi = mid
+    return CriticalResult(n=n, value=0.5 * (lo + hi), bracket=(lo, hi),
+                          xi_max=xi_max, xi_steps=xi_steps)

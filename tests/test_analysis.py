@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hermitize import analysis
 from hermitize.analysis import (classify_reality, continuum_convergence,
                                 critical_zeta, endpoint_locus,
                                 metric_positivity_sweep, sweep_xi,
@@ -10,7 +13,7 @@ from hermitize.metric import metric_band_extended, metric_n3_general
 from hermitize.model import ModelParams
 from hermitize.spectrum import _solve_batch, reality_flags, solve_spectrum
 
-from _oracles import max_pair_distance
+from _oracles import critical_zeta_whole_grid, max_pair_distance
 
 
 def test_classify_reality_counts_and_merge_flags():
@@ -90,21 +93,91 @@ def test_critical_zeta_two_site_analytic():
 
 
 def test_critical_zeta_chunked_scan_matches_whole_grid_bisection():
-    # On xi in [0, 0.45] the complex window of n = 4 and 6 moves from the
-    # first of the four 250-row solve blocks to the last during the
-    # bisection.
-    def whole_grid(n, lo, hi, tol):
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if sweep_xi(n, mid, 0.0, 0.45, 1000).all_real.all():
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
+    # On xi in [0, 0.45] every grid coupling near the critical values has
+    # |z| > 1, and the complex window of n = 4 and 6 moves from the first
+    # of the four 250-row solve blocks to the last during the bisection.
     for n in (4, 6):
         result = critical_zeta(n, xi_max=0.45, xi_steps=1000, zeta_tol=1e-4)
-        assert result.bracket == whole_grid(n, 0.0, 0.75, 1e-4)
+        assert result.bracket == critical_zeta_whole_grid(
+            n, xi_max=0.45, xi_steps=1000, zeta_tol=1e-4).bracket
+
+
+_CRITICAL_GRIDS = [
+    {"xi_max": 0.45, "xi_steps": 1000, "zeta_tol": 1e-4},
+    {"xi_max": 2.0, "xi_steps": 400, "zeta_tol": 1e-4},
+    {"xi_max": 10.0, "xi_steps": 2000, "zeta_tol": 1e-7},
+]
+
+
+@pytest.mark.parametrize("n, grid", [
+    pytest.param(n, grid, id=f"n{n}-" + (
+        "xi{xi_max}-{xi_steps}-tol{zeta_tol}".format(**grid) if grid
+        else "default"))
+    for n, grid in [(n, {}) for n in range(2, 9)]
+    + [(n, grid) for grid in _CRITICAL_GRIDS for n in range(2, 7)]])
+def test_critical_zeta_matches_whole_grid_oracle_bitwise(n, grid):
+    # Skipping the |z| <= 1 couplings changes no predicate value, so every
+    # bisection step and the result are the whole-grid ones, bit for bit.
+    got = critical_zeta(n, **grid)
+    want = critical_zeta_whole_grid(n, **grid)
+    assert got.bracket == want.bracket
+    assert got.value == want.value
+
+
+def test_critical_zeta_solves_only_couplings_outside_the_unit_disc(
+        monkeypatch):
+    received = []
+    solve_blocks = analysis._solve_blocks
+
+    def spy(n, zs, *args, **kwargs):
+        received.append(np.array(zs))
+        return solve_blocks(n, zs, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_solve_blocks", spy)
+    critical_zeta(6)
+    assert len(received) > 1
+    # The first predicate call is at the lower bracket end zeta = 0.
+    assert received[0].size == 0
+    for zs in received:
+        assert np.all(np.abs(zs) > 1.0)
+        assert zs.size <= 2000 // 10
+    received.clear()
+    critical_zeta(2, xi_max=2.0, xi_steps=400, zeta_tol=1e-2,
+                  bracket=(-0.4, 0.75))
+    assert received[0].size == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"zeta_tol": 0.0}, {"zeta_tol": -1.0}, {"zeta_tol": float("nan")},
+    {"zeta_tol": float("inf")}, {"xi_steps": 0}, {"xi_steps": -3}])
+def test_critical_zeta_rejects_bad_tolerance_or_grid(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=name):
+        critical_zeta(4, **kwargs)
+
+
+def test_bisection_below_float_spacing_stops_at_adjacent_floats(
+        monkeypatch):
+    # A positive tolerance below the float spacing of the bracket ends
+    # must not loop once the midpoint equals one of them.  The solvers are
+    # capped so that a regression fails instead of hanging.
+    def capped(name):
+        calls = itertools.count()
+        inner = getattr(analysis, name)
+
+        def call(*args, **kwargs):
+            assert next(calls) < 1000, f"{name} called without end"
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, call)
+
+    capped("_solve_blocks")
+    capped("hermitian_eigenvalues")
+    lo, hi = critical_zeta(2, xi_max=2.0, xi_steps=50,
+                           zeta_tol=1e-300).bracket
+    assert np.nextafter(lo, np.inf) == hi
+    fine = metric_positivity_sweep("band", 2, -1.5, 1.5, 31, param_tol=1e-300)
+    assert fine.edge_positive == pytest.approx(1.0, abs=1e-12)
+    assert fine.edge_negative == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_critical_zeta_invalid_bracket():
@@ -120,6 +193,13 @@ def test_positivity_sweep_band_two_site():
     # min eigenvalue of the 2 x 2 family is exactly 1 - |omega|
     assert np.allclose(res.min_eigenvalues, 1 - np.abs(res.values),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("param_tol", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+def test_positivity_sweep_rejects_bad_tolerance(param_tol):
+    with pytest.raises(ValueError, match="param_tol"):
+        metric_positivity_sweep("band", 2, -1.5, 1.5, 31, param_tol=param_tol)
 
 
 def test_positivity_sweep_validates_family():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +194,27 @@ def test_critical_json_fields(capsys):
     assert doc["n"] == 2
     assert doc["value"] == pytest.approx(0.5, abs=5e-3)
     assert doc["bracket"][0] <= doc["value"] <= doc["bracket"][1]
+
+
+def _run_process(*argv):
+    # A fresh interpreter with a timeout, so a bisection that never ends
+    # fails the test instead of hanging the suite.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "hermitize.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--zeta-tol", "0"), ("--zeta-tol", "-1"), ("--zeta-tol", "nan"),
+    ("--xi-steps", "0")])
+def test_critical_rejects_bad_tolerance_or_grid(flag, value):
+    proc = _run_process("critical", "--n", "4", f"{flag}={value}")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert flag[2:].replace("-", "_") in proc.stderr
 
 
 def test_locus_csv_schema(capsys):

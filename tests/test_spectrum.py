@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hermitize.chebyshev import ChebCombo
 from hermitize.errors import DimensionMismatch, NoConvergence
@@ -361,3 +362,44 @@ def test_overflowing_secular_solve_is_not_a_silent_wrong_root():
         return
     expect = np.linalg.eigvals(build_hamiltonian(p).dense())
     assert max_pair_distance(spec.energies, expect) < 1e-8
+
+
+# The structure theorem behind critical_zeta's pruned reality predicate.
+# With y = (t + 1/t)/2 a band root is a level crossing of a real phase on
+# the unit circle: for |z| < 1 the phase is strictly increasing, so all n
+# roots are real and lie in (-1, 1); for |z| > 1 at least n - 2 levels are
+# still crossed, so at most one conjugate pair remains.
+_PHASE = st.floats(0.0, 2.0 * np.pi, exclude_max=True)
+
+
+def _theorem_case(n, modulus, phase):
+    z = modulus * complex(np.cos(phase), np.sin(phase))
+    p = ModelParams(n=n, omega=z.imag, rho=z.real - 1.0)
+    energies = np.linalg.eigvals(build_hamiltonian(p).dense())
+    real = np.abs(energies.imag) <= 1e-10 * np.maximum(1.0, np.abs(energies))
+    return p, (2.0 - energies) / 2.0, real
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 48), modulus=st.floats(0.0, 1.0, exclude_max=True),
+       phase=_PHASE)
+@example(n=2, modulus=0.0, phase=0.0)
+@example(n=48, modulus=0.0, phase=1.0)
+def test_couplings_inside_the_unit_disc_have_a_real_spectrum(n, modulus,
+                                                             phase):
+    p, y, real = _theorem_case(n, modulus, phase)
+    assume(abs(p.z) < 1.0)  # z = 1 + rho + i omega may round onto |z| = 1
+    assert np.all(real)
+    assert np.all(np.abs(y.real) < 1.0 + 1e-12)  # z -> 1 puts a root at 1
+    assert np.all(solve_spectrum(p).is_real)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 48),
+       modulus=st.floats(1.0, 1e3, exclude_min=True), phase=_PHASE)
+def test_couplings_outside_the_unit_disc_keep_n_minus_two_band_roots(
+        n, modulus, phase):
+    p, y, real = _theorem_case(n, modulus, phase)
+    assume(abs(p.z) > 1.0)
+    assert np.count_nonzero(real & (np.abs(y.real) < 1.0)) >= n - 2
+    assert np.count_nonzero(~real) <= 2
