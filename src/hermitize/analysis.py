@@ -46,15 +46,22 @@ def _max_threads():
 
 
 def _zs_from_grid(xi, zeta):
-    """Vectorized coupling map with an explicit pole check."""
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    denom = (1.0 - zeta) ** 2 + xi ** 2
+    """Vectorized coupling map with an explicit pole check.
+
+    The same operations as ``model.z_from_xizeta``, elementwise, so every
+    coupling is bitwise the one a single-point solve uses.
+    """
+    xi, zeta = np.broadcast_arrays(np.asarray(xi, dtype=float),
+                                   np.asarray(zeta, dtype=float))
+    denom = (1.0 - zeta) * (1.0 - zeta) + xi * xi
     if np.any(denom == 0.0):
         raise SingularParameters(
             "grid hits the pole (xi, zeta) = (0, 1); split the range so "
             "this point is excluded")
-    return ((1.0 - zeta) + 1j * xi) / denom
+    zs = np.empty(denom.shape, dtype=complex)
+    zs.real = (1.0 - zeta) / denom
+    zs.imag = xi / denom
+    return zs
 
 
 def _batched_roots(n, zs, tol=1e-12, max_iter=500):
@@ -189,11 +196,14 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
         Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
     tol, max_iter :
-        Root solver controls.
+        Root solver controls, as in ``spectrum.solve_spectrum``: the
+        relative step of the roots off the band and the iteration budget
+        of each stage.
 
     Returns
     -------
     SweepResult
+        Row i is bitwise ``solve_spectrum`` at (values[i], zeta).
     """
     values = np.linspace(xi_min, xi_max, steps)
     zs = _zs_from_grid(values, zeta)
@@ -221,11 +231,12 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     steps : int
     convention : {"lattice", "shifted"}
     tol, max_iter :
-        Root solver controls.
+        Root solver controls, as in ``sweep_xi``.
 
     Returns
     -------
     SweepResult
+        Row i is bitwise ``solve_spectrum`` at (xi, values[i]).
     """
     values = np.linspace(zeta_min, zeta_max, steps)
     zs = _zs_from_grid(xi, values)
@@ -297,22 +308,21 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     polynomial (with y = (t + 1/t)/2, a root in the band is a level
     crossing of a phase that is strictly increasing when |z| <= 1), every
     coupling with |z| <= 1 has n real roots in (-1, 1), so it is real
-    without a solve; at zeta <= 0 no coupling is solved at all.  A
-    ``NoConvergence`` at a |z| <= 1 grid point can therefore no longer be
-    raised.  The remaining couplings are solved in the row blocks of the
-    batched solve (``spectrum._solve_blocks``), in grid order and in the
-    calling thread (``HERMITIZE_THREADS`` does not apply), and the scan
-    stops at the first block with a non-real root.  Roots do not depend
-    on the blocks or on which couplings share them, so the bisection
-    steps and the result are those of a whole-grid scan; but a
-    ``NoConvergence`` in a block after the first non-real one is not
-    raised.
+    without a solve; at zeta <= 0 no coupling is solved at all.  The
+    remaining couplings are solved in blocks (``spectrum._solve_blocks``),
+    in grid order and in the calling thread (``HERMITIZE_THREADS`` does
+    not apply), and the scan stops at the first block with a non-real
+    root.  Roots do not depend on the blocks or on which couplings share
+    them, so the bisection steps and the result are those of a whole-grid
+    scan; but a ``NoConvergence`` in a block after the first non-real one
+    is not raised.
 
     Parameters
     ----------
     n : int
+        Chain length, an integer >= 2.
     xi_max : float
-        Upper end of the xi grid (lower end is 0).
+        Upper end of the xi grid (lower end is 0); finite and >= 0.
     xi_steps : int
         Grid resolution, >= 1; complexification windows narrower than the
         grid spacing can be missed, which biases the result upward.
@@ -322,12 +332,19 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     bracket : (float, float)
         Initial bracket; the predicate must hold at the lower end.
     tol : float
-        Root solver tolerance.
+        Relative step below which the secular solve accepts a root off
+        the band (see ``spectrum.solve_spectrum``).  Band roots are solved
+        to their round-off floor whatever its value, so the reality
+        predicate, and with it the result, rarely depends on it.
 
     Returns
     -------
     CriticalResult
     """
+    if int(n) != n or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}")
+    if not (np.isfinite(xi_max) and xi_max >= 0.0):
+        raise ValueError(f"xi_max must be finite and >= 0, got {xi_max}")
     _check_tolerance("zeta_tol", zeta_tol)
     if xi_steps < 1:
         raise ValueError(f"xi_steps must be >= 1, got {xi_steps}")

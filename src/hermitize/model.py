@@ -36,7 +36,9 @@ def z_from_xizeta(xi, zeta):
     SingularParameters
         If (xi, zeta) = (0, 1), where the map has its pole.
     """
-    denom = (1.0 - zeta) ** 2 + xi ** 2
+    # Products and two real divisions, as analysis._zs_from_grid does
+    # elementwise, so a grid point and a single point get the same bits.
+    denom = (1.0 - zeta) * (1.0 - zeta) + xi * xi
     if denom == 0.0:
         raise SingularParameters(
             "coupling undefined at (xi, zeta) = (0, 1); split any scan so "

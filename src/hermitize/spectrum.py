@@ -1,32 +1,61 @@
 """Spectra and eigenvectors of the endpoint-coupled well.
 
 The eigenvalue problem reduces to a secular polynomial in the Chebyshev
-variable y (E = 2 - 2y on the lattice): with zb = conj(z),
+variable y (E = 2 - 2y on the lattice): with a = Re z and b = |z|^2,
 
-    z zb U_{n-2}(y) - (z + zb) U_{n-1}(y) + U_n(y) = 0.
+    P(y) = U_n(y) - 2 a U_{n-1}(y) + b U_{n-2}(y) = 0.
 
 All coefficients are real, so non-real roots come in conjugate pairs and
-reality of the spectrum can be decided root by root.  Roots are found by a
-batched Aberth iteration whose stopping test knows the round-off floor of
-the polynomial evaluation, which keeps clustered roots near spectral
-transitions from stalling the solver.  The secular function is evaluated
-by one three-term Clenshaw recurrence (``_secular_terms``) that takes the
-coefficients (|z|^2, -2 Re z, 1) point by point.  Every polynomial of a
-degree starts from the same points, below degree 128 on a thin ellipse
-about the band [-1, 1] where all but at most two roots lie; each iteration
-evaluates and steps only the roots not yet accepted, and a batch is solved
-in blocks of ``_BLOCK_ROWS`` couplings.  Rows never interact, so the roots
-of one coupling do not depend on the block size or on which other
-couplings share its batch.  An evaluation that overflows (inf or nan)
-never accepts a root: such a solve ends in ``NoConvergence``.  The two
-members of a conjugate pair are given their mean real part before the
-roots are sorted by (Re, Im), so a pair always comes out (-Im, +Im),
-whatever the round-off.
+reality of the spectrum can be decided root by root.
 
-A second, representation-independent route evaluates the characteristic
-polynomial directly through the tridiagonal determinant recurrence; it is
-deliberately separate from the secular construction so the two can be used
-to cross-check each other.
+The secular solve (``_secular_roots``, behind ``solve_spectrum``, the
+sweeps and ``critical_zeta``) rests on a structure theorem.  Put
+y = (t + 1/t)/2; then (t - 1/t) P(y) = t^-(n+1) [t^(2n) q(t) - r(t)] with
+q(t) = (t - z)(t - zb) and r(t) = (1 - z t)(1 - zb t), and |q| = |r| on
+the unit circle t = e^(i gamma).  So y = cos(gamma), 0 < gamma < pi, is a
+root exactly where the half-phase
+
+    psi(gamma) = n gamma + atan2((1 - b) sin gamma, (1 + b) cos gamma - 2 a)
+
+crosses a level pi k (the substitution of Yueh & Cheng, ANZIAM J. 2008,
+for Toeplitz matrices with perturbed corners).  psi(0) = 0 and
+psi(pi) = (n + 1) pi for |z| < 1, (n - 1) pi for |z| > 1.
+
+- |z| < 1: psi' > n, so levels 1 .. n give all n roots, all real.
+- |z| > 1: psi' = 0 is a quadratic in cos(gamma), so psi has at most two
+  critical points and at most three monotone pieces (a piece can fall:
+  1 < |z| <= (n + 1)/(n - 1)).  Each level strictly between the end
+  values of a piece is crossed once on it; levels 1 .. n - 2 always are.
+- |z| = 1 (b == 1 in floating point): the roots are cos(pi k / n),
+  k = 1 .. n - 1, and Re z, in closed form.
+
+Each crossing is solved by a safeguarded Newton iteration (``rtsafe`` of
+*Numerical Recipes*: Newton, bisection when a step would leave the bracket
+or fails to halve the one before), vectorized over all couplings and
+levels and stopped at the round-off bound of psi.  That is O(n) work per
+coupling, with no polynomial evaluation and nothing that can overflow.
+At most two roots are left off the band.  They start from the trace
+identities sum y = a and sum y^2 = a^2 - (b - n + 1)/2 minus the band
+roots, and are polished by an Aberth step in y against the band roots,
+with P'/P taken from t (|t| <= 1), or from the three-term recurrence
+where t is near +/-1.  A conjugate pair is solved as one point and
+returned as exact conjugates; a lone root and a non-conjugate pair are
+real.  For real z every root is real: H is real symmetric and commutes
+with the reversal, and a nearly degenerate bound pair is solved on the
+two factors t^n (t - z) -/+ (1 - z t) of the t-equation.  Every step is
+elementwise or a reduction along one coupling's row, so a coupling's roots
+do not depend on which other couplings share its batch.  A value that is
+not finite never counts as converged; a solve that does not converge
+within ``max_iter`` steps of a stage raises ``NoConvergence``.
+
+``find_roots`` solves a general second-kind Chebyshev combination with a
+batched Aberth iteration whose stopping test knows the round-off floor of
+the Clenshaw evaluation; the two members of a conjugate pair are given
+their mean real part, so a pair comes out (-Im, +Im) whatever the
+round-off.  A second, representation-independent route evaluates the
+characteristic polynomial directly through the tridiagonal determinant
+recurrence (``charpoly_eigenvalues``); it is deliberately separate from
+the secular construction so the two can be used to cross-check each other.
 """
 
 import warnings
@@ -46,21 +75,25 @@ _EPS = np.finfo(float).eps
 # margin is three orders of magnitude.
 REALITY_TOL = 1e-9
 
-# The secular solve starts on the band ellipse below this degree.  At high
-# n and |z| the unscaled evaluation can overflow and the outcome depends
+# find_roots starts on the band ellipse below this degree.  At high n and
+# |z| the unscaled evaluation can overflow and the outcome depends
 # erratically on the start: on 374 fresh couplings at n = 128 .. 256 the
 # ellipse returned silent wrong roots for 11 and the circle for 7, so the
 # circle stays there; on 400 at n = 64 .. 112 the ellipse did so for 1 and
 # the circle for 5.
 _BAND_START_DEGREES = 128
 
-# The batched solve works through its couplings in blocks of this many
-# rows, which keeps the per-iteration arrays (the (n + 1)-deep Clenshaw
-# magnitudes and the repulsion rows) near cache size.  Roots do not depend
-# on it.  On 2,000-point sweeps (n = 8, 32) and critical_zeta(6), (8),
-# blocks of 250 to 512 rows ran about equally fast, 128 rows and one
-# 2,000-row block slower, and peak memory grows with the block.
+# ``_solve_blocks`` yields the roots of this many couplings at a time, so
+# critical_zeta's scan can stop at the first block with a non-real root.
+# Roots do not depend on it.
 _BLOCK_ROWS = 250
+
+# A real coupling z = a with |a|^n above e^_BOUND_SPLIT takes its two
+# outer roots from the factored equations of ``_real_bound_pair``.  There
+# the two bound roots are nearly degenerate (their splitting falls like
+# |a|^-n), and the Aberth step on P resolves them only to its noise floor
+# (1.3e-8 at n = 21, z = -2.3211).
+_BOUND_SPLIT = np.log(1e3)
 
 # Below this |y| the eigenvector formula switches to its y -> 0 limit;
 # the generic form divides by y and loses all accuracy well before the
@@ -267,85 +300,370 @@ def find_roots(combo, tol=1e-12, max_iter=500):
     return _lexsorted_rows(_tie_conjugate_pairs(roots))[0]
 
 
-def _secular_terms(n, sq, re2, y):
-    """Secular function, its y-derivative and its round-off bound.
+def _half_phase(n, a, b, m2, p2, gamma):
+    """Half-phase of the band equation, its derivative and round-off bound.
 
-    Evaluates sq U_{n-2}(y) + re2 U_{n-1}(y) + U_n(y) at the 1-d points
-    ``y``, with the coefficients sq = |z|^2 and re2 = -2 Re z given point
-    by point.  Every floating-point operation is the one
-    ``chebyshev._clenshaw_full`` performs on the padded coefficients
-    (0, .., 0, sq, re2, 1), so value, derivative and noise are bitwise
-    equal to it.  Only bookkeeping differs: |2y| is taken once, |b_{j+1}|
-    is kept as the next step's |b_{j+2}|, the additions of the n - 2 zero
-    coefficients (and the product with |U_0| = 1) are skipped, and every
-    step writes into preallocated buffers.
+    psi(gamma) = n gamma + theta(gamma) with
+    theta = atan2((1 - b) sin gamma, (1 + b) cos gamma - 2 a), a = Re z and
+    b = |z|^2; y = cos(gamma) is a root exactly where psi = pi k.  The
+    second argument is taken as |1 - z|^2 - (1 + b)(1 - cos gamma) when
+    cos gamma >= 0 and as (1 + b)(1 + cos gamma) - |1 + z|^2 otherwise,
+    with m2 = |1 - z|^2 and p2 = |1 + z|^2 from z itself, which keeps it
+    accurate at the band edges when z is near +/-1.  The bound covers the
+    rounding of n gamma, of atan2 and of its two arguments; it grows where
+    theta turns steeply (|z| near 1), and it vanishes with gamma, so roots
+    near y = 1 keep their relative accuracy.
     """
-    two_y = 2 * y
-    abs_two_y = np.abs(two_y)
-    coeff = {n: (1.0, 1.0), n - 1: (re2, np.abs(re2)),
-             n - 2: (sq, np.abs(sq))}
-    b1, b2, d1, d2 = np.zeros((4, y.size), dtype=complex)
-    bt, dt, t = np.empty((3, y.size), dtype=complex)
-    abs_b1, abs_b2 = np.zeros((2, y.size))
-    loc = np.empty((n + 1, y.size))
-    for j in range(n, -1, -1):
-        c, abs_c = coeff.get(j, (None, None))
-        # loc_j = |2y| |b_{j+1}| + |b_{j+2}| + |c_j|
-        abs_b1, abs_b2 = abs_b2, abs_b1
-        np.abs(b1, out=abs_b1)
-        np.multiply(abs_two_y, abs_b1, out=loc[j])
-        loc[j] += abs_b2
-        # b_j = 2y b_{j+1} - b_{j+2} + c_j
-        np.multiply(two_y, b1, out=bt)
-        bt -= b2
-        if c is not None:
-            loc[j] += abs_c
-            bt += c
-        b1, b2, bt = bt, b1, b2
-        # d_j = 2y d_{j+1} - d_{j+2} + 2 b_{j+1}
-        np.multiply(two_y, d1, out=dt)
-        dt -= d2
-        np.multiply(2, b2, out=t)
-        dt += t
-        d1, d2, dt = dt, d1, d2
-
-    # Forward U_j(y) against the local magnitudes, as in _clenshaw_full.
-    noise = loc[0].copy()
-    u_cur, u_prev = two_y.copy(), np.ones_like(two_y)
-    for j in range(1, n + 1):
-        np.abs(u_cur, out=abs_b1)
-        loc[j] *= abs_b1
-        noise += loc[j]
-        if j < n:
-            np.multiply(two_y, u_cur, out=bt)
-            bt -= u_prev
-            u_cur, u_prev, bt = bt, u_cur, u_prev
-    noise *= 3 * _EPS
-    return b1, d1, noise
+    x, s = np.cos(gamma), np.sin(gamma)
+    upper = x >= 0.0
+    # 1 - x or 1 + x, whichever is not a cancellation, and the edge term.
+    gap = s * s / (1.0 + np.abs(x))
+    edge = np.where(upper, m2, p2)
+    num = (1.0 - b) * s
+    den = np.where(upper, edge - (1.0 + b) * gap, (1.0 + b) * gap - edge)
+    h = num * num + den * den
+    theta = np.arctan2(num, den)
+    slope = np.where(upper, edge + 2.0 * a * gap, edge - 2.0 * a * gap)
+    dpsi = n + (1.0 - b) * slope / h
+    noise = 4.0 * _EPS * (n * gamma + np.abs(theta) + np.abs(num) * (
+        2.0 * np.abs(den) + edge + (1.0 + b) * gap) / h)
+    return n * gamma + theta, dpsi, noise
 
 
-def _secular_roots(n, sq, re2, tol, max_iter):
-    """Sorted secular roots for the coefficient arrays ``sq``, ``re2``."""
-    def evaluate(rows, y):
-        return _secular_terms(n, sq[rows], re2[rows], y)
+def _monotone_pieces(n, a, b, m2, p2):
+    """Ends of the monotone pieces of psi on [0, pi], and psi / pi there.
 
-    roots = _aberth(evaluate, _secular_start(sq.size, n), tol, max_iter)
-    return _lexsorted_rows(_tie_conjugate_pairs(roots))
+    Returns (ends, levels), each of shape (rows, 4): piece j runs from
+    ends[:, j] to ends[:, j + 1].  psi is increasing when |z| < 1, and
+    psi' = 0 is a quadratic in x = cos(gamma),
+
+        4 n b x^2 - (4 n a (1 + b) + 2 a (1 - b)) x
+            + n ((1 - b)^2 + 4 a^2) + 1 - b^2 = 0,
+
+    so psi has at most two critical points; a missing one is put at pi,
+    where it ends an empty piece.  psi(0) = 0 and psi(pi) = (n + 1) pi for
+    |z| < 1, (n - 1) pi for |z| > 1, exactly.
+    """
+    rows = a.size
+    outside = b > 1.0
+    ends = np.full((rows, 4), np.pi)
+    ends[:, 0] = 0.0
+    levels = np.empty((rows, 4))
+    levels[:, 0] = 0.0
+    levels[:, 1:] = np.where(outside, n - 1.0, n + 1.0)[:, None]
+    idx = np.flatnonzero(outside)
+    if idx.size:
+        ao, bo = a[idx], b[idx]
+        c2 = 4.0 * n * bo
+        c1 = -(4.0 * n * ao * (1.0 + bo) + 2.0 * ao * (1.0 - bo))
+        c0 = n * ((1.0 - bo) ** 2 + 4.0 * ao * ao) + (1.0 - bo * bo)
+        disc = c1 * c1 - 4.0 * c2 * c0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+            x = np.stack([q / c2, c0 / q], axis=1)
+            crit = np.where((disc > 0.0)[:, None] & (np.abs(x) < 1.0),
+                            np.arccos(x), np.pi)
+        crit.sort(axis=1)
+        psi = _half_phase(n, ao[:, None], bo[:, None], m2[idx, None],
+                          p2[idx, None], crit)[0]
+        ends[idx, 1:3] = crit
+        levels[idx, 1:3] = np.where(crit < np.pi, psi / np.pi, n - 1.0)
+    return ends, levels
+
+
+def _band_roots(n, a, b, m2, p2, max_iter):
+    """Real roots y = cos(gamma), 0 < gamma < pi, of the rows with b != 1.
+
+    Every level pi k strictly between the end values of a monotone piece
+    of psi is crossed once on that piece.  Since |theta| <= pi, the
+    crossing also lies in [pi (k - 1) / n, pi k / n] for |z| < 1 and in
+    [pi k / n, pi (k + 1) / n] for |z| > 1; the solve is a safeguarded
+    Newton iteration (``rtsafe`` of *Numerical Recipes*) on that bracket,
+    vectorized over all crossings.  A crossing is accepted when |psi - pi k|
+    is at the round-off bound of ``_half_phase`` or the step is below two
+    ulps of gamma.
+
+    Returns
+    -------
+    (y, row) : numpy.ndarray
+        The roots and the row of each, ordered by row, then by piece, then
+        by level.
+    """
+    ends, levels = _monotone_pieces(n, a, b, m2, p2)
+    lo_l, hi_l = levels[:, :3].ravel(), levels[:, 1:].ravel()
+    kmin = np.floor(np.minimum(lo_l, hi_l)) + 1.0
+    count = np.maximum(np.ceil(np.maximum(lo_l, hi_l)) - kmin, 0.0)
+    piece = np.repeat(np.arange(lo_l.size), count.astype(np.intp))
+    first = np.cumsum(count) - count
+    k = kmin[piece] + (np.arange(piece.size) - first[piece])
+    row = piece // 3
+    ra, rb, rm, rp = a[row], b[row], m2[row], p2[row]
+    # The level window, widened by a few ulps, inside the piece.
+    shift = np.where(rb > 1.0, 0.0, -1.0)
+    lo = np.maximum(ends[:, :3].ravel()[piece],
+                    (k + shift) * np.pi / n - 4.0 * _EPS)
+    hi = np.minimum(ends[:, 1:].ravel()[piece],
+                    (k + shift + 1.0) * np.pi / n + 4.0 * _EPS)
+    rising = (hi_l > lo_l)[piece]
+    # rtsafe keeps xl where psi < pi k and xh where psi > pi k.
+    xl, xh = np.where(rising, lo, hi), np.where(rising, hi, lo)
+    target = k * np.pi
+    gamma = 0.5 * (lo + hi)
+    dx = np.abs(hi - lo)
+    dx_old = dx.copy()
+    psi, dpsi, noise = _half_phase(n, ra, rb, rm, rp, gamma)
+    f = psi - target
+    out = gamma.copy()
+    live = np.flatnonzero(~(np.abs(f) <= noise))
+    state = [v[live] for v in (xl, xh, gamma, dx, dx_old, f, dpsi, ra, rb,
+                               rm, rp, target)]
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        xl, xh, gamma, dx, dx_old, f, dpsi, ra, rb, rm, rp, target = state
+        # Bisect when Newton would leave the bracket or would not halve
+        # the step before the last one.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bisect = ~((((gamma - xh) * dpsi - f) * ((gamma - xl) * dpsi - f)
+                        <= 0.0) & (np.abs(2.0 * f) <= np.abs(dx_old * dpsi)))
+            dx_old = dx
+            dx = np.where(bisect, 0.5 * (xh - xl), f / dpsi)
+        gamma = np.where(bisect, xl + dx, gamma - dx)
+        psi, dpsi, noise = _half_phase(n, ra, rb, rm, rp, gamma)
+        f = psi - target
+        out[live] = gamma
+        moving = ~((np.abs(dx) <= 2.0 * _EPS * gamma) | (np.abs(f) <= noise))
+        below = f < 0.0
+        xl = np.where(below, gamma, xl)
+        xh = np.where(below, xh, gamma)
+        live = live[moving]
+        state = [v[moving] for v in (xl, xh, gamma, dx, dx_old, f, dpsi, ra,
+                                     rb, rm, rp, target)]
+    if live.size:
+        raise NoConvergence(
+            f"band root iteration did not converge in {max_iter} steps",
+            best=np.cos(out))
+    return np.cos(out), row
+
+
+def _log_derivative(n, a, b, y):
+    """P'/P of the secular polynomial at the points y, and a flag that
+    |P| is at its round-off floor there.
+
+    With t = 1 / (y + sqrt(y - 1) sqrt(y + 1)), so |t| <= 1 and
+    y = (t + 1/t) / 2, (t - 1/t) P(y) = t^-(n+1) G(t), where
+    G(t) = t^(2n) q(t) - r(t), q(t) = t^2 - 2 a t + b and
+    r(t) = 1 - 2 a t + b t^2.  Nothing in G can overflow.  The substitution
+    degenerates at t = +/-1 (y = +/-1), so where |1 - t^2| < 1/4 the
+    three-term recurrence of U_k(y) is used instead; there |U_k| grows at
+    most like (k + 1) 1.155^k, and the floor is the recurrence's running
+    rounding bound.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = 1.0 / (y + np.sqrt(y - 1.0) * np.sqrt(y + 1.0))
+        t2 = t * t
+        edge = np.abs((1.0 - t) * (1.0 + t)) < 0.25
+        tn = t ** (2 * n)
+        q = t2 - 2.0 * a * t + b
+        r = 1.0 - 2.0 * a * t + b * t2
+        g = tn * q - r
+        t_dg = tn * (2.0 * n * q + t * (2.0 * t - 2.0 * a)) - t * (
+            2.0 * b * t - 2.0 * a)
+        dlog = 2.0 * t * (t_dg / g - (n + 1.0) - (t2 + 1.0) / (t2 - 1.0)) / (
+            t2 - 1.0)
+        at, abs_a = np.abs(t), np.abs(a)
+        noise = 4.0 * _EPS * (np.abs(tn) * (at * at + 2.0 * abs_a * at + b)
+                              + 1.0 + 2.0 * abs_a * at + b * at * at)
+        flat = np.isfinite(noise) & (np.abs(g) <= noise)
+    if edge.any():
+        ye, ae, be = y[edge], a[edge], b[edge]
+        u = [np.ones_like(ye), 2.0 * ye]
+        du = [0.0 * ye, 2.0 + 0.0 * ye]
+        for k in range(1, n):
+            u.append(2.0 * ye * u[k] - u[k - 1])
+            du.append(2.0 * u[k] + 2.0 * ye * du[k] - du[k - 1])
+        p = u[n] - 2.0 * ae * u[n - 1] + be * u[n - 2]
+        dp = du[n] - 2.0 * ae * du[n - 1] + be * du[n - 2]
+        # The rounding of step k reaches U_n through U_(n-1-k).
+        mag = np.abs(np.array(u))
+        spread = np.sum((2.0 * np.abs(ye) * mag[1:n] + mag[:n - 1])
+                        * mag[n - 2::-1], axis=0)
+        scale = 1.0 + 2.0 * np.abs(ae) + be
+        floor = 4.0 * _EPS * scale * (spread + mag[n - 2:].max(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dlog[edge] = dp / p
+        flat[edge] = np.isfinite(floor) & (np.abs(p) <= floor)
+    return dlog, flat
+
+
+def _outer_roots(n, a, b, band, tol, max_iter):
+    """The roots left after the band crossings, for rows with |z| > 1.
+
+    ``band`` holds each row's band roots, padded with +inf to n columns;
+    a row has one or two roots left.  They start from the Vieta sums of
+    the spectrum, sum y = a and sum y^2 = a^2 - (b - n + 1) / 2, minus the
+    band's: one root is the remainder itself, two are the roots of a
+    quadratic.  A conjugate pair is iterated as one point whose partner is
+    its conjugate; two real starts are iterated together.  Each step is
+    an Aberth correction 1 / (P'/P - sum 1/(y - y_j)) over the band roots
+    and the partner (``_log_derivative``).  A point is accepted when a
+    finite step is below ``tol`` relative, or when |P| is at its round-off
+    floor and the step no longer halves; an overflowed value or floor is
+    never accepted.
+
+    Returns
+    -------
+    numpy.ndarray
+        Shape (rows, 2); a row with one root left has nan in column 1.
+    """
+    finite = np.isfinite(band)
+    left = n - np.count_nonzero(finite, axis=1)
+    y_band = np.where(finite, band, 0.0)
+    s1 = a - np.sum(y_band, axis=1)
+    s2 = a * a - 0.5 * (b - n + 1.0) - np.sum(y_band * y_band, axis=1)
+    disc = 2.0 * s2 - s1 * s1
+    pair = (left == 2) & (disc < 0.0)
+    root = np.sqrt(np.abs(disc))
+    out = np.full((a.size, 2), np.nan, dtype=complex)
+    out[:, 0] = np.where(left == 1, s1, 0.5 * (s1 - root))
+    out[:, 0] = np.where(pair, 0.5 * s1 + 0.5j * root, out[:, 0])
+    out[:, 1] = np.where((left == 2) & ~pair, 0.5 * (s1 + root), np.nan)
+    # One point per root iterated: (row, column); the partner of a real
+    # pair's point is the other column, a conjugate pair's its conjugate.
+    row, col = np.nonzero(np.isfinite(out))
+    mate = np.where(pair[row] | (left[row] == 1), -1, 1 - col)
+    y = out[row, col]
+    step = np.full(y.size, np.inf)
+    live = np.arange(y.size)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        lr, ly = row[live], y[live]
+        dlog, flat = _log_derivative(n, a[lr], b[lr], ly)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            partner = np.where(mate[live] < 0, np.conj(ly),
+                               out[lr, np.maximum(mate[live], 0)])
+            repel = np.where(pair[lr] | (mate[live] >= 0),
+                             1.0 / (ly - partner), 0.0)
+            w = 1.0 / (dlog - np.sum(1.0 / (ly[:, None] - band[lr]), axis=1)
+                       - repel)
+        ok = np.isfinite(w)
+        # At the floor, accept once the steps stop shrinking: near a
+        # merging pair they wander in the noise ball.
+        done = flat & ~(np.abs(w) < 0.5 * step[live])
+        w = np.where(ok & ~done, w, 0.0)
+        ly = ly - w
+        y[live] = ly
+        out[lr, col[live]] = ly
+        step[live] = np.abs(w)
+        done |= ok & (np.abs(w) <= tol * np.maximum(1.0, np.abs(ly)))
+        live = live[~done]
+    if live.size:
+        raise NoConvergence(
+            f"outer root iteration did not converge in {max_iter} steps",
+            best=out)
+    out[:, 1] = np.where(pair, np.conj(out[:, 0]), out[:, 1])
+    # Band roots are real, so a lone root is real, and two roots are a
+    # conjugate pair or both real.
+    real = ~pair
+    out[real] = out[real].real
+    return out
+
+
+def _real_bound_pair(n, a, max_iter):
+    """The two outer roots of a real coupling z = a, |a| > 1, |a|^n large.
+
+    H is real symmetric and commutes with the reversal, and G factors as
+    [t^n (t - a) - (1 - a t)] [t^n (t - a) + (1 - a t)]; each factor has
+    one root near t = 1/a.  On P the two roots are closer than its
+    round-off allows to resolve; each factor's simple root is found by
+    Newton's method from t = 1/a.
+    """
+    t = np.stack([1.0 / a, 1.0 / a], axis=1)
+    sign = np.array([1.0, -1.0])
+    live = np.ones(t.shape, dtype=bool)
+    for _ in range(max_iter):
+        if not live.any():
+            break
+        tl = t[live]
+        al = np.broadcast_to(a[:, None], t.shape)[live]
+        sl = np.broadcast_to(sign, t.shape)[live]
+        tn1 = tl ** (n - 1)
+        f = tn1 * tl * (tl - al) - sl * (1.0 - al * tl)
+        df = tn1 * ((n + 1.0) * tl - n * al) + sl * al
+        step = f / df
+        t[live] = tl - step
+        live[live] = ~(np.abs(step) <= 4.0 * _EPS * np.abs(tl))
+    if live.any():
+        raise NoConvergence(
+            f"bound-state iteration did not converge in {max_iter} steps",
+            best=0.5 * (t + 1.0 / t))
+    return 0.5 * (t + 1.0 / t)
+
+
+def _secular_roots(n, zs, tol, max_iter):
+    """Sorted secular roots of the couplings ``zs``, one row each.
+
+    Rows with b = |z|^2 = 1 exactly take the closed form cos(pi k / n),
+    k = 1 .. n - 1, plus Re z.  Every other row takes its band roots from
+    ``_band_roots`` and, when |z| > 1, the one or two roots left from
+    ``_outer_roots`` (from ``_real_bound_pair`` for a real z with
+    |z|^n > e^_BOUND_SPLIT).  Every step is elementwise or a reduction
+    along one row, so a row's roots do not depend on the other rows of
+    the batch.  ``tol`` is the relative step of the outer iteration and
+    ``max_iter`` the iteration budget of each stage.
+    """
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    a, w = zs.real.copy(), zs.imag.copy()
+    b = a * a + w * w
+    roots = np.full((zs.size, n), np.inf, dtype=complex)
+    unit = b == 1.0
+    roots[unit, :n - 1] = np.cos(np.pi * np.arange(1, n) / n)
+    roots[unit, n - 1] = a[unit]
+    rows = np.flatnonzero(~unit)
+    m2 = (1.0 - a[rows]) ** 2 + w[rows] ** 2
+    p2 = (1.0 + a[rows]) ** 2 + w[rows] ** 2
+    y, row = _band_roots(n, a[rows], b[rows], m2, p2, max_iter)
+    count = np.bincount(row, minlength=rows.size)
+    if np.any(count > n):
+        raise NoConvergence("more band crossings than roots",
+                            best=roots)
+    slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
+    roots[rows[row], slot] = y
+    outer = rows[count < n]
+    left = n - count[count < n]
+    if np.any(left > 2):
+        raise NoConvergence("more than two roots left off the band",
+                            best=roots)
+    if outer.size:
+        ao = a[outer]
+        bound = (w[outer] == 0.0) & (left == 2) & (
+            n * np.log(np.maximum(np.abs(ao), 1.0)) > _BOUND_SPLIT)
+        if bound.any():
+            roots[outer[bound], n - 2:] = _real_bound_pair(n, ao[bound],
+                                                           max_iter)
+        rest = outer[~bound]
+        if rest.size:
+            got = _outer_roots(n, a[rest], b[rest], roots[rest].real, tol,
+                               max_iter)
+            for c in (0, 1):
+                sel = np.isfinite(got[:, c])
+                roots[rest[sel], n - left[~bound][sel] + c] = got[sel, c]
+        real_z = w[outer] == 0.0
+        roots[outer[real_z]] = roots[outer[real_z]].real
+    return _lexsorted_rows(roots)
 
 
 def _solve_blocks(n, zs, tol=1e-12, max_iter=500):
     """Secular roots of the couplings ``zs``, one block at a time.
 
     Yields the roots of ``_BLOCK_ROWS`` consecutive couplings (fewer in
-    the last block), each row sorted as in ``find_roots``.  A block that
-    does not converge raises ``NoConvergence``; its ``best`` holds that
-    block's iterates.
+    the last block), as ``_solve_batch`` returns them, so a caller can stop
+    early.  A block that does not converge raises ``NoConvergence``.
     """
     zs = np.asarray(zs, dtype=complex)
-    sq, re2 = np.abs(zs) ** 2, -2.0 * zs.real
     for lo in range(0, zs.size, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        yield _secular_roots(n, sq[block], re2[block], tol, max_iter)
+        yield _secular_roots(n, zs[lo:lo + _BLOCK_ROWS], tol, max_iter)
 
 
 def _solve_batch(n, zs, tol=1e-12, max_iter=500):
@@ -361,11 +679,11 @@ def _solve_batch(n, zs, tol=1e-12, max_iter=500):
     Returns
     -------
     numpy.ndarray
-        Roots of shape (npoly, n), each row sorted as in ``find_roots``;
-        the rows are solved in blocks by ``_solve_blocks``.
+        Roots of shape (npoly, n), each row sorted by (Re, Im); a
+        conjugate pair is exact and comes out (-Im, +Im).  Row i is bitwise
+        ``solve_spectrum`` at coupling zs[i].
     """
-    return np.concatenate([np.empty((0, n), dtype=complex),
-                           *_solve_blocks(n, zs, tol, max_iter)])
+    return _secular_roots(n, zs, tol, max_iter)
 
 
 @dataclass
@@ -557,21 +875,24 @@ def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
     ----------
     params : ModelParams
     tol : float
-        Root acceptance tolerance (relative Aberth step).
+        Relative step below which the roots off the band [-1, 1] (at most
+        two, only when |z| > 1) are accepted.  The band roots are always
+        solved to the round-off bound of their phase equation.
     max_iter : int
-        Iteration budget for the root solver.
+        Iteration budget of each stage of the solve (band crossings,
+        roots off the band); exceeding it raises ``NoConvergence``, whose
+        ``best`` holds the iterates.
     with_wavefunctions : bool
         Also build the eigenvector at every root.
 
     Returns
     -------
     Spectrum
+        The roots are sorted by (Re, Im); a conjugate pair is exact and
+        comes out (-Im, +Im).  The solve is O(n) per coupling and covers
+        n up to 1024 and |z| from 0 to 1e3 (see the module docstring).
     """
-    n = params.n
-    # The coefficients of secular_polynomial, bit for bit: Python's
-    # abs(z) ** 2 and numpy's np.abs(z) ** 2 can differ in the last bit.
-    c = secular_polynomial(params).coeffs
-    y_roots = _secular_roots(n, c[n - 2:n - 1], c[n - 1:n], tol, max_iter)[0]
+    y_roots = _secular_roots(params.n, [params.z], tol, max_iter)[0]
     energies = energy_from_y(y_roots, params.convention)
     wfs = None
     if with_wavefunctions:

@@ -156,6 +156,18 @@ def test_critical_zeta_rejects_bad_tolerance_or_grid(kwargs):
         critical_zeta(4, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n": 1}, {"n": 0}, {"n": 2.5}, {"xi_max": float("nan")},
+    {"xi_max": float("inf")}, {"xi_max": -1.0}])
+def test_critical_zeta_rejects_bad_size_or_range(kwargs):
+    # n = 1 used to report "no complexification found", and xi_max = nan
+    # or inf a solver failure (NoConvergence), as if the input were valid.
+    (name,) = kwargs
+    args = {"n": 4, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        critical_zeta(args.pop("n"), **args)
+
+
 def test_bisection_below_float_spacing_stops_at_adjacent_floats(
         monkeypatch):
     # A positive tolerance below the float spacing of the bracket ends

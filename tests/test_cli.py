@@ -217,6 +217,17 @@ def test_critical_rejects_bad_tolerance_or_grid(flag, value):
     assert flag[2:].replace("-", "_") in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "1"), ("--xi-max", "nan"), ("--xi-max", "inf"),
+    ("--xi-max", "-1")])
+def test_critical_rejects_bad_size_or_range(flag, value):
+    args = {"--n": "4", flag: value}
+    proc = _run_process("critical", *(f"{k}={v}" for k, v in args.items()))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert flag[2:].replace("-", "_") in proc.stderr
+
+
 def test_locus_csv_schema(capsys):
     code, out, _ = _run(capsys, "locus", "--n", "4", "--samples", "3")
     assert code == 0

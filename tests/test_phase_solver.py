@@ -1,0 +1,234 @@
+"""The phase-equation secular solver: accuracy, range and failure modes.
+
+Reference values come from dense LAPACK (``eigvals``, ``eigvalsh`` for
+real couplings), from 60-digit mpmath eigenvalues, and from eigenvector
+residuals: ||(H - E) phi|| / ||phi|| >= sigma_min(H - E), so a small
+residual certifies that E is an eigenvalue to that accuracy.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from hermitize import spectrum
+from hermitize.analysis import endpoint_locus, sweep_xi, sweep_zeta
+from hermitize.errors import NoConvergence
+from hermitize.model import ModelParams, build_hamiltonian
+from hermitize.spectrum import (_solve_batch, reality_flags, solve_spectrum,
+                                wavefunction)
+
+from _oracles import max_pair_distance
+
+_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _params(n, z):
+    return ModelParams(n=n, omega=z.imag, rho=z.real - 1.0)
+
+
+def _dense_y(n, z):
+    h = build_hamiltonian(_params(n, z)).dense()
+    return (2.0 - np.linalg.eigvals(h)) / 2.0
+
+
+@pytest.mark.parametrize("n, xi, zeta", [(256, 0.01, 0.9), (512, 3.0, 0.0),
+                                         (1024, 0.4, 0.3)])
+def test_former_defect_inputs_solve_to_small_residuals(n, xi, zeta):
+    # The Aberth solve raised NoConvergence here (after 2.5 s, 4.7 s, 20 s).
+    p = ModelParams(n=n, xi=xi, zeta=zeta)
+    spec = solve_spectrum(p)
+    y = spec.y_roots
+    assert y.shape == (n,) and np.all(np.isfinite(y))
+    norm = 4.0 + abs(p.z)  # ||H||_inf
+    sample = np.concatenate([y[::16], y[np.abs(y) > 1.0], y[~spec.is_real]])
+    for root in sample:
+        assert wavefunction(p, root).residual <= 1e-12 * norm
+
+
+def test_real_couplings_give_real_roots_at_full_accuracy():
+    # H is real symmetric.  z = 1.8 binds two states below the band, and
+    # z = -2.3211 at n = 21 a pair 1e-8 apart, which the Aberth solve
+    # could resolve only to about 1e-8.
+    for n, z in ((64, 1.8), (21, -2.3211), (40, 1.05), (9, -30.0)):
+        p = ModelParams(n=n, omega=0.0, rho=z - 1.0)
+        y = solve_spectrum(p).y_roots
+        assert np.all(y.imag == 0.0) and solve_spectrum(p).all_real
+        h = build_hamiltonian(p).dense().real
+        exact = np.sort((2.0 - np.linalg.eigvalsh(h)) / 2.0)
+        assert np.max(np.abs(np.sort(y.real) - exact)) <= 1e-14 * max(
+            1.0, abs(z))
+
+
+_LOG_MODULUS = st.floats(-3.0, 3.0)
+_NEAR_ONE = st.builds(lambda s, e: 1.0 + s * 10.0 ** e, st.sampled_from(
+    [-1.0, 1.0]), st.floats(-12.0, -2.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(2, 64),
+       modulus=st.one_of(_LOG_MODULUS.map(lambda e: 10.0 ** e), _NEAR_ONE),
+       phase=st.one_of(st.floats(0.0, 2.0 * np.pi),
+                       st.sampled_from([0.0, np.pi])))
+@example(n=2, modulus=0.0, phase=0.0)
+@example(n=33, modulus=0.0, phase=0.0)
+@example(n=21, modulus=2.3211, phase=np.pi)
+def test_roots_match_dense_eigenvalues(n, modulus, phase):
+    z = modulus * complex(np.cos(phase), np.sin(phase))
+    if phase in (0.0, np.pi):
+        z = complex(z.real, 0.0)
+    y = _solve_batch(n, np.array([z]))[0]
+    assert np.all(np.isfinite(y))
+    exact = _dense_y(n, z)
+    # Near an exceptional point both solvers lose half their digits.
+    assert max_pair_distance(y, exact) <= 1e-7 * max(1.0, modulus)
+    assume(abs(z) != 1.0)
+    real = reality_flags(y)
+    assert np.count_nonzero(~real) in (0, 2)
+    if abs(z) < 1.0 or z.imag == 0.0:
+        assert np.all(y.imag == 0.0)
+
+
+def test_two_sites_and_the_dirichlet_wall():
+    # n = 2: 4 y^2 - 4 a y + b - 1 = 0; z = 0 gives y = +/-1/2.
+    for z in (0.0, 0.3 + 0.2j, 1.0 + 2.0j, -3.0, 0.999 + 0.05j):
+        z = complex(z)
+        a, b = z.real, abs(z) ** 2
+        root = np.sqrt(complex(a * a - b + 1.0))
+        expect = [(a - root) / 2.0, (a + root) / 2.0]
+        y = _solve_batch(2, np.array([z]))[0]
+        assert max_pair_distance(y, expect) <= 1e-15 * max(1.0, abs(z))
+    for n in (2, 7, 64):
+        y = _solve_batch(n, np.array([0j]))[0]
+        dirichlet = np.cos(np.pi * np.arange(n, 0, -1) / (n + 1))
+        assert np.max(np.abs(y - dirichlet)) <= 1e-15
+
+
+def test_unit_modulus_and_one_ulp_either_side():
+    # |z|^2 == 1: cos(pi k / n), k = 1 .. n - 1, plus Re z, in closed form.
+    # One ulp off the circle the phase turns by pi within ~1e-16 of
+    # cos(gamma) = Re z; the roots move by round-off only.  (Re z is no
+    # cos(pi k / n) here; where it is, the roots there are double and move
+    # by sqrt(ulp).)
+    for z in (1.0 + 0j, -1.0 + 0j, 0.6 + 0.8j, -0.28 + 0.96j):
+        assert z.real * z.real + z.imag * z.imag == 1.0
+        for n in (2, 5, 16):
+            expect = np.append(np.cos(np.pi * np.arange(1, n) / n), z.real)
+            for scale in (1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52):
+                y = _solve_batch(n, np.array([z * scale]))[0]
+                assert max_pair_distance(y, expect) <= 1e-14
+
+
+def test_golden_sampled_endpoint_loci_put_a_root_at_the_band_edge():
+    # There a root sits at t = +/-1, where y = (t + 1/t)/2 degenerates.
+    t = np.sort((0.5 + _PHI * np.arange(1, 21)) % 1.0)
+    worst = 0.0
+    for n in (*range(2, 13), 16, 24, 32):
+        loc = endpoint_locus(n, t=t)
+        for branch, edge in ((loc.y_plus, 1.0), (loc.y_minus, -1.0)):
+            for zeta, xi in zip(branch.zeta, branch.xi):
+                y = solve_spectrum(ModelParams(n=n, xi=float(xi),
+                                               zeta=float(zeta))).y_roots
+                worst = max(worst, np.min(np.abs(y - edge)))
+    assert worst <= 1e-9
+
+
+def test_decreasing_piece_and_its_critical_points():
+    # At n = 10, z = 0.7529 - 0.7385i the phase falls between its two
+    # critical points, cos(gamma) = 0.74806 and 0.67797.
+    n, z = 10, 0.7529 - 0.7385j
+    one = lambda v: np.array([v])  # noqa: E731
+    ends, levels = spectrum._monotone_pieces(
+        n, one(z.real), one(abs(z) ** 2), one(abs(1 - z) ** 2),
+        one(abs(1 + z) ** 2))
+    assert np.allclose(np.cos(ends[0, 1:3]), [0.74806, 0.67797], atol=1e-5)
+    assert levels[0, 2] < levels[0, 1]
+    y = _solve_batch(n, np.array([z]))[0]
+    assert max_pair_distance(y, _dense_y(n, z)) <= 1e-14
+
+
+def test_level_count_at_pi_is_exact():
+    # psi(pi) / pi read 26.000000000000004 in floats at n = 25, |z| = 0.997.
+    for phase in (0.0, 0.4, 2.0, np.pi):
+        z = 0.997 * complex(np.cos(phase), np.sin(phase))
+        y = _solve_batch(25, np.array([z]))[0]
+        assert np.all(y.imag == 0.0)
+        assert max_pair_distance(y, _dense_y(25, z)) <= 1e-13
+
+
+def test_roots_do_not_depend_on_the_batch():
+    zs = 1.0 / (0.6 - 1j * np.linspace(0.0, 3.0, 301))
+    zs = np.concatenate([zs, [0.0, 1.0, -2.5, 0.999 + 0.01j]])
+    for n in (3, 8, 32):
+        whole = _solve_batch(n, zs)
+        for i in range(0, zs.size, 7):
+            alone = _solve_batch(n, zs[i:i + 1])[0]
+            assert np.array_equal(alone.view(np.uint64),
+                                  whole[i].view(np.uint64))
+
+
+def test_iteration_budget_raises_with_best():
+    p = ModelParams(n=32, xi=0.4, zeta=0.3)
+    for budget in (0, 1):
+        with pytest.raises(NoConvergence) as info:
+            solve_spectrum(p, max_iter=budget)
+        assert info.value.best is not None
+    solve_spectrum(p, max_iter=20)
+
+
+def test_sweep_rows_are_pointwise_solves_bitwise():
+    # The grid couplings are bitwise ModelParams.z, and rows never
+    # interact, so sweep and spectrum print the same digits.
+    for n in (8, 32):
+        by_xi = sweep_xi(n, 0.3, 0.0, 3.0, 200)
+        by_zeta = sweep_zeta(n, 0.7, -1.0, 0.95, 200)
+        for i in range(200):
+            for res, p in (
+                    (by_xi, ModelParams(n=n, xi=by_xi.values[i], zeta=0.3)),
+                    (by_zeta, ModelParams(n=n, xi=0.7,
+                                          zeta=by_zeta.values[i]))):
+                y = solve_spectrum(p).y_roots
+                assert np.array_equal(y.view(np.uint64),
+                                      res.y_roots[i].view(np.uint64))
+
+
+def _mp_roots(mp, n, z):
+    """60-digit eigenvalues of (2 - H) / 2, i.e. the secular roots."""
+    mp.mp.dps = 60
+    zc = mp.mpc(z.real, z.imag)
+    k = mp.matrix(n, n)
+    for i in range(n - 1):
+        k[i, i + 1] = k[i + 1, i] = mp.mpf(1) / 2
+    k[0, 0] = zc / 2
+    k[n - 1, n - 1] = mp.conj(zc) / 2
+    return np.array([complex(e) for e in mp.eig(k, left=False, right=False)])
+
+
+def _ep_xi(n, zeta, lo, hi):
+    """xi where the spectrum turns complex, bisected to adjacent floats."""
+    real_lo = solve_spectrum(ModelParams(n=n, xi=lo, zeta=zeta)).all_real
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if solve_spectrum(ModelParams(n=n, xi=mid,
+                                      zeta=zeta)).all_real == real_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_high_precision_near_the_unit_circle_and_exceptional_points():
+    mp = pytest.importorskip("mpmath")
+    for n in (3, 8, 12):
+        for modulus in (1.0 - 1e-9, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52,
+                        1.0 + 1e-3):
+            z = modulus * np.exp(0.7j)
+            y = _solve_batch(n, np.array([z]))[0]
+            assert max_pair_distance(y, _mp_roots(mp, n, z)) <= 4e-15
+    for n, zeta, lo, hi in ((4, 0.3, 0.1, 0.4), (6, 0.5, 0.0, 0.6),
+                            (12, 0.4, 0.0, 0.01)):
+        ep = _ep_xi(n, zeta, lo, hi)
+        for xi, bound in ((ep, 1e-7), (ep - 1e-6, 1e-11), (ep + 1e-6, 1e-11)):
+            p = ModelParams(n=n, xi=xi, zeta=zeta)
+            y = solve_spectrum(p).y_roots
+            assert max_pair_distance(y, _mp_roots(mp, n, p.z)) <= bound
