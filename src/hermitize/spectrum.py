@@ -83,9 +83,12 @@ REALITY_TOL = 1e-9
 # the circle for 5.
 _BAND_START_DEGREES = 128
 
-# ``_solve_blocks`` yields the roots of this many couplings at a time, so
-# critical_zeta's scan can stop at the first block with a non-real root.
-# Roots do not depend on it.
+# The batched solve works through its couplings in blocks of this many
+# rows, and critical_zeta's scan stops at the first block with a non-real
+# root.  Roots do not depend on it.  On 2,000-point sweeps (n = 8, 32)
+# the phase solver ran about equally fast in blocks of 125 to 2,000 rows,
+# and its peak traced memory grew from 3.5 MB (250 rows) to 21 MB (one
+# block).
 _BLOCK_ROWS = 250
 
 # A real coupling z = a with |a|^n above e^_BOUND_SPLIT takes its two
@@ -681,9 +684,11 @@ def _solve_batch(n, zs, tol=1e-12, max_iter=500):
     numpy.ndarray
         Roots of shape (npoly, n), each row sorted by (Re, Im); a
         conjugate pair is exact and comes out (-Im, +Im).  Row i is bitwise
-        ``solve_spectrum`` at coupling zs[i].
+        ``solve_spectrum`` at coupling zs[i].  The rows are solved in the
+        blocks of ``_solve_blocks``.
     """
-    return _secular_roots(n, zs, tol, max_iter)
+    return np.concatenate([np.empty((0, n), dtype=complex),
+                           *_solve_blocks(n, zs, tol, max_iter)])
 
 
 @dataclass

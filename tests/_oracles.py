@@ -4,12 +4,14 @@ Everything here avoids the code paths under test: Chebyshev polynomials
 are expanded to exact integer monomial coefficients, root sets are
 compared by greedy nearest matching (sorting by (Re, Im) can swap members
 of a conjugate pair whose real parts differ at round-off, which would
-fake errors of twice the imaginary part).  The secular solver's bitwise
-oracles (``clenshaw_full``, ``aberth_rows``, ``solve_batch``) are the
-earlier whole-row implementation, kept here because the live-point solver
-must reproduce their roots bit for bit; ``critical_zeta_whole_grid`` is
-the earlier critical-detuning bisection, whose predicate solves every
-grid point, which the pruned predicate must match bracket for bracket.
+fake errors of twice the imaginary part).  ``clenshaw_full`` and
+``aberth_rows`` are the earlier whole-row Aberth iteration, which
+``find_roots`` and ``charpoly_eigenvalues`` must reproduce bit for bit;
+``solve_batch`` is the earlier Aberth secular solve, against which the
+phase-equation solver keeps its accuracy contract;
+``critical_zeta_whole_grid`` is the earlier critical-detuning bisection,
+whose predicate solves every grid point, which the pruned predicate must
+match bracket for bracket.
 """
 
 import numpy as np
@@ -199,8 +201,9 @@ def padded_secular_coeffs(n, zs):
 
 
 def solve_batch(n, zs, tol=1e-12, max_iter=500):
-    """The earlier ``spectrum._solve_batch``: one whole-batch solve with
-    ``aberth_rows`` and ``clenshaw_full`` on padded coefficient rows."""
+    """The Aberth ``spectrum._solve_batch`` before the phase-equation
+    solver: one whole-batch solve with ``aberth_rows`` and
+    ``clenshaw_full`` on padded coefficient rows."""
     coeffs = padded_secular_coeffs(n, zs)
 
     def evaluate(rows, y):
