@@ -27,12 +27,14 @@ psi(pi) = (n + 1) pi for |z| < 1, (n - 1) pi for |z| > 1.
   1 < |z| <= (n + 1)/(n - 1)).  Each level strictly between the end
   values of a piece is crossed once on it; levels 1 .. n - 2 always are.
 - |z| = 1 (b == 1 in floating point): the roots are cos(pi k / n),
-  k = 1 .. n - 1, and Re z, in closed form.
+  k = 1 .. n - 1, and Re z, in closed form.  At n = 2, P is the quadratic
+  4 y^2 - 4 a y + b - 1, solved in closed form.
 
 Each crossing is solved by a safeguarded Newton iteration (``rtsafe`` of
-*Numerical Recipes*: Newton, bisection when a step would leave the bracket
-or fails to halve the one before), vectorized over all couplings and
-levels and stopped at the round-off bound of psi.  That is O(n) work per
+*Numerical Recipes*: a Newton step, here with Halley's correction, and
+bisection when a step would leave the bracket or fails to halve the one
+before), vectorized over all couplings and levels and stopped at the
+round-off bound of psi.  That is O(n) work per
 coupling, with no polynomial evaluation and nothing that can overflow.
 At most two roots are left off the band.  They start from the trace
 identities sum y = a and sum y^2 = a^2 - (b - n + 1)/2 minus the band
@@ -304,7 +306,8 @@ def find_roots(combo, tol=1e-12, max_iter=500):
 
 
 def _half_phase(n, a, b, m2, p2, gamma):
-    """Half-phase of the band equation, its derivative and round-off bound.
+    """Half-phase of the band equation with psi', psi''/psi' and a bound on
+    the round-off of psi.
 
     psi(gamma) = n gamma + theta(gamma) with
     theta = atan2((1 - b) sin gamma, (1 + b) cos gamma - 2 a), a = Re z and
@@ -322,15 +325,23 @@ def _half_phase(n, a, b, m2, p2, gamma):
     # 1 - x or 1 + x, whichever is not a cancellation, and the edge term.
     gap = s * s / (1.0 + np.abs(x))
     edge = np.where(upper, m2, p2)
-    num = (1.0 - b) * s
-    den = np.where(upper, edge - (1.0 + b) * gap, (1.0 + b) * gap - edge)
+    one_minus_b = 1.0 - b
+    num = one_minus_b * s
+    bulk = (1.0 + b) * gap
+    den = edge - bulk
+    den = np.where(upper, den, -den)
     h = num * num + den * den
     theta = np.arctan2(num, den)
-    slope = np.where(upper, edge + 2.0 * a * gap, edge - 2.0 * a * gap)
-    dpsi = n + (1.0 - b) * slope / h
-    noise = 4.0 * _EPS * (n * gamma + np.abs(theta) + np.abs(num) * (
-        2.0 * np.abs(den) + edge + (1.0 + b) * gap) / h)
-    return n * gamma + theta, dpsi, noise
+    tilt = 2.0 * a * gap
+    slope = one_minus_b * np.where(upper, edge + tilt, edge - tilt) / h
+    # psi'' / psi' for Halley's correction (infinite where psi' = 0).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bend = (2.0 * a * num - slope * 2.0 * s * (
+            one_minus_b * one_minus_b * x - (1.0 + b) * den)) / h / (n + slope)
+    abs_den = np.abs(den)
+    noise = np.abs(theta) + np.abs(num) * (abs_den + abs_den + edge + bulk) / h
+    n_gamma = n * gamma
+    return n_gamma + theta, n + slope, bend, 4.0 * _EPS * (n_gamma + noise)
 
 
 def _monotone_pieces(n, a, b, m2, p2):
@@ -382,7 +393,8 @@ def _band_roots(n, a, b, m2, p2, max_iter):
     crossing also lies in [pi (k - 1) / n, pi k / n] for |z| < 1 and in
     [pi k / n, pi (k + 1) / n] for |z| > 1; the solve is a safeguarded
     Newton iteration (``rtsafe`` of *Numerical Recipes*) on that bracket,
-    vectorized over all crossings.  A crossing is accepted when |psi - pi k|
+    with Halley's correction of the Newton step by psi'', vectorized over
+    all crossings.  A crossing is accepted when |psi - pi k|
     is at the round-off bound of ``_half_phase`` or the step is below two
     ulps of gamma.
 
@@ -414,34 +426,38 @@ def _band_roots(n, a, b, m2, p2, max_iter):
     gamma = 0.5 * (lo + hi)
     dx = np.abs(hi - lo)
     dx_old = dx.copy()
-    psi, dpsi, noise = _half_phase(n, ra, rb, rm, rp, gamma)
+    psi, dpsi, bend, noise = _half_phase(n, ra, rb, rm, rp, gamma)
     f = psi - target
     out = gamma.copy()
     live = np.flatnonzero(~(np.abs(f) <= noise))
-    state = [v[live] for v in (xl, xh, gamma, dx, dx_old, f, dpsi, ra, rb,
-                               rm, rp, target)]
+    state = np.stack([xl, xh, gamma, dx, dx_old, f, dpsi, bend, ra, rb, rm,
+                      rp, target])[:, live]
     for _ in range(max_iter):
         if live.size == 0:
             break
-        xl, xh, gamma, dx, dx_old, f, dpsi, ra, rb, rm, rp, target = state
+        (xl, xh, gamma, dx, dx_old, f, dpsi, bend, ra, rb, rm, rp,
+         target) = state
         # Bisect when Newton would leave the bracket or would not halve
         # the step before the last one.
         with np.errstate(divide="ignore", invalid="ignore"):
-            bisect = ~((((gamma - xh) * dpsi - f) * ((gamma - xl) * dpsi - f)
-                        <= 0.0) & (np.abs(2.0 * f) <= np.abs(dx_old * dpsi)))
-            dx_old = dx
-            dx = np.where(bisect, 0.5 * (xh - xl), f / dpsi)
-        gamma = np.where(bisect, xl + dx, gamma - dx)
-        psi, dpsi, noise = _half_phase(n, ra, rb, rm, rp, gamma)
+            step = f / dpsi
+            step = step / (1.0 - 0.5 * step * bend)
+            newton = gamma - step
+            bisect = ~(((newton - xh) * (newton - xl) <= 0.0)
+                       & (np.abs(step + step) <= np.abs(dx_old)))
+        dx_old = dx
+        dx = np.where(bisect, 0.5 * (xh - xl), step)
+        gamma = np.where(bisect, xl + dx, newton)
+        psi, dpsi, bend, noise = _half_phase(n, ra, rb, rm, rp, gamma)
         f = psi - target
         out[live] = gamma
         moving = ~((np.abs(dx) <= 2.0 * _EPS * gamma) | (np.abs(f) <= noise))
         below = f < 0.0
-        xl = np.where(below, gamma, xl)
-        xh = np.where(below, xh, gamma)
-        live = live[moving]
-        state = [v[moving] for v in (xl, xh, gamma, dx, dx_old, f, dpsi, ra,
-                                     rb, rm, rp, target)]
+        state = np.stack([np.where(below, gamma, xl),
+                          np.where(below, xh, gamma), gamma, dx, dx_old, f,
+                          dpsi, bend, ra, rb, rm, rp, target])
+        if not moving.all():
+            live, state = live[moving], state[:, moving]
     if live.size:
         raise NoConvergence(
             f"band root iteration did not converge in {max_iter} steps",
@@ -506,13 +522,17 @@ def _outer_roots(n, a, b, band, tol, max_iter):
     a row has one or two roots left.  They start from the Vieta sums of
     the spectrum, sum y = a and sum y^2 = a^2 - (b - n + 1) / 2, minus the
     band's: one root is the remainder itself, two are the roots of a
-    quadratic.  A conjugate pair is iterated as one point whose partner is
-    its conjugate; two real starts are iterated together.  Each step is
-    an Aberth correction 1 / (P'/P - sum 1/(y - y_j)) over the band roots
-    and the partner (``_log_derivative``).  A point is accepted when a
-    finite step is below ``tol`` relative, or when |P| is at its round-off
-    floor and the step no longer halves; an overflowed value or floor is
-    never accepted.
+    quadratic, moved apart by 1e-6 off their conjugate symmetry so that a
+    pair the rounded quadratic misjudged (real for complex or the reverse,
+    next to an exceptional point) can still turn.  Each step is an Aberth
+    correction 1 / (P'/P - sum 1/(y - y_j)) over the band roots and the
+    other point (``_log_derivative``).  A point is accepted when a finite
+    step is below ``tol`` relative, or when |P| is at its round-off floor
+    and the step no longer halves; an overflowed value or floor is never
+    accepted.  Band roots are real, so the two roots are a conjugate pair
+    or both real: a pair when their real parts are closer than their
+    imaginary parts, returned as exact conjugates; otherwise, and for a
+    lone root, the imaginary parts are dropped.
 
     Returns
     -------
@@ -524,17 +544,16 @@ def _outer_roots(n, a, b, band, tol, max_iter):
     y_band = np.where(finite, band, 0.0)
     s1 = a - np.sum(y_band, axis=1)
     s2 = a * a - 0.5 * (b - n + 1.0) - np.sum(y_band * y_band, axis=1)
-    disc = 2.0 * s2 - s1 * s1
-    pair = (left == 2) & (disc < 0.0)
-    root = np.sqrt(np.abs(disc))
+    root = np.sqrt(complex(1.0, 0.0) * (2.0 * s2 - s1 * s1))
+    nudge = 1e-6 * np.maximum(1.0, np.abs(s1)) * np.where(
+        root.imag == 0.0, 1j, 1.0)
+    two = left == 2
     out = np.full((a.size, 2), np.nan, dtype=complex)
-    out[:, 0] = np.where(left == 1, s1, 0.5 * (s1 - root))
-    out[:, 0] = np.where(pair, 0.5 * s1 + 0.5j * root, out[:, 0])
-    out[:, 1] = np.where((left == 2) & ~pair, 0.5 * (s1 + root), np.nan)
-    # One point per root iterated: (row, column); the partner of a real
-    # pair's point is the other column, a conjugate pair's its conjugate.
+    out[:, 0] = np.where(two, 0.5 * (s1 - root) + nudge, s1)
+    out[two, 1] = 0.5 * (s1[two] + root[two]) - nudge[two]
+    # One point per root, (row, column); a pair's points repel each other.
     row, col = np.nonzero(np.isfinite(out))
-    mate = np.where(pair[row] | (left[row] == 1), -1, 1 - col)
+    mate = 1 - col
     y = out[row, col]
     step = np.full(y.size, np.inf)
     live = np.arange(y.size)
@@ -544,10 +563,7 @@ def _outer_roots(n, a, b, band, tol, max_iter):
         lr, ly = row[live], y[live]
         dlog, flat = _log_derivative(n, a[lr], b[lr], ly)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            partner = np.where(mate[live] < 0, np.conj(ly),
-                               out[lr, np.maximum(mate[live], 0)])
-            repel = np.where(pair[lr] | (mate[live] >= 0),
-                             1.0 / (ly - partner), 0.0)
+            repel = np.where(two[lr], 1.0 / (ly - out[lr, mate[live]]), 0.0)
             w = 1.0 / (dlog - np.sum(1.0 / (ly[:, None] - band[lr]), axis=1)
                        - repel)
         ok = np.isfinite(w)
@@ -565,12 +581,12 @@ def _outer_roots(n, a, b, band, tol, max_iter):
         raise NoConvergence(
             f"outer root iteration did not converge in {max_iter} steps",
             best=out)
-    out[:, 1] = np.where(pair, np.conj(out[:, 0]), out[:, 1])
-    # Band roots are real, so a lone root is real, and two roots are a
-    # conjugate pair or both real.
-    real = ~pair
-    out[real] = out[real].real
-    return out
+    ya, yb = out[:, 0], out[:, 1]
+    pair = two & (np.abs(ya.real - yb.real) < np.abs(ya.imag - yb.imag))
+    mean = 0.5 * (ya + np.conj(yb))
+    mean = np.where(mean.imag < 0.0, mean, np.conj(mean))
+    return np.where(pair[:, None], np.stack([mean, np.conj(mean)], axis=1),
+                    out.real)
 
 
 def _real_bound_pair(n, a, max_iter):
@@ -607,17 +623,25 @@ def _real_bound_pair(n, a, max_iter):
 def _secular_roots(n, zs, tol, max_iter):
     """Sorted secular roots of the couplings ``zs``, one row each.
 
-    Rows with b = |z|^2 = 1 exactly take the closed form cos(pi k / n),
-    k = 1 .. n - 1, plus Re z.  Every other row takes its band roots from
-    ``_band_roots`` and, when |z| > 1, the one or two roots left from
-    ``_outer_roots`` (from ``_real_bound_pair`` for a real z with
-    |z|^n > e^_BOUND_SPLIT).  Every step is elementwise or a reduction
-    along one row, so a row's roots do not depend on the other rows of
-    the batch.  ``tol`` is the relative step of the outer iteration and
-    ``max_iter`` the iteration budget of each stage.
+    At n = 2, P is a quadratic and every row takes its closed form; that
+    is also several times cheaper than the phase solve, whose fixed cost
+    per call dominates there (critical_zeta(2) solves about 20 batches of
+    under 250 couplings).  Rows with b = |z|^2 = 1 exactly take the closed
+    form cos(pi k / n), k = 1 .. n - 1, plus Re z.  Every other row takes
+    its band roots from ``_band_roots`` and, when |z| > 1, the one or two
+    roots left from ``_outer_roots`` (from ``_real_bound_pair`` for a real
+    z with |z|^n > e^_BOUND_SPLIT).  Every step is elementwise or a
+    reduction along one row, so a row's roots do not depend on the other
+    rows of the batch.  ``tol`` is the relative step of the outer
+    iteration and ``max_iter`` the iteration budget of each stage.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     a, w = zs.real.copy(), zs.imag.copy()
+    if n == 2:
+        # P = 4 y^2 - 4 a y + |z|^2 - 1, with discriminant 16 (1 - w^2).
+        root = np.sqrt(((1.0 - np.abs(w)) * (1.0 + np.abs(w))) + 0j)
+        return _lexsorted_rows(np.stack([0.5 * (a - root), 0.5 * (a + root)],
+                                        axis=1))
     b = a * a + w * w
     roots = np.full((zs.size, n), np.inf, dtype=complex)
     unit = b == 1.0
