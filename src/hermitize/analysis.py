@@ -51,8 +51,8 @@ def _zs_from_grid(xi, zeta):
     The same operations as ``model.z_from_xizeta``, elementwise, so every
     coupling is bitwise the one a single-point solve uses.
     """
-    xi, zeta = np.broadcast_arrays(np.asarray(xi, dtype=float),
-                                   np.asarray(zeta, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    zeta = np.asarray(zeta, dtype=float)
     denom = (1.0 - zeta) * (1.0 - zeta) + xi * xi
     if np.any(denom == 0.0):
         raise SingularParameters(
