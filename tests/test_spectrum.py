@@ -256,6 +256,27 @@ def _dense_y(n, z):
     return (2.0 - np.linalg.eigvals(build_hamiltonian(p).dense())) / 2.0
 
 
+@pytest.mark.parametrize("block", [1, 7, spectrum._BLOCK_ROWS])
+def test_solve_batch_matches_whole_row_oracle_bitwise(monkeypatch, block):
+    # The solve in row blocks returns the roots of the whole batch solved
+    # in one call bit for bit (at block 1 every row is solved alone), on
+    # grids that cross exceptional points and, at n = 128, at |z| > 1.
+    cases = [(n, _ep_grid(zeta, 3.0, steps))
+             for n, steps in ((2, 300), (3, 300), (6, 300), (8, 300),
+                              (32, 40), (64, 12))
+             for zeta in (0.7, 0.6)]
+    cases.append((128, 1.0 / (0.7 - 1j * np.linspace(0.0, 2.0, 3))))
+    whole = [spectrum._secular_roots(n, zs, 1e-12, 500) for n, zs in cases]
+    monkeypatch.setattr(spectrum, "_BLOCK_ROWS", block)
+    for (n, zs), expect in zip(cases, whole):
+        if block == 1 and zs.size > 40:
+            zs, expect = zs[::10], expect[::10]
+        got = _solve_batch(n, zs)
+        assert _same_bits(got, expect)
+        real_rows = np.all(reality_flags(got), axis=1)
+        assert n == 128 or (real_rows.any() and not real_rows.all())
+
+
 def test_phase_solver_keeps_the_aberth_contract():
     # Against the earlier whole-row Aberth solve (tests/_oracles), in the
     # canonical (Re, Im) order: every root is within 1e-12 max(1, |y|) of
