@@ -13,7 +13,7 @@ from .analysis import (ContinuumTable, CriticalResult, LocusBranch,
                        SweepResult, classify_reality, continuum_convergence,
                        critical_zeta, endpoint_locus,
                        metric_positivity_sweep, sweep_xi, sweep_zeta)
-from .chebyshev import ChebCombo, eval_combo, eval_t, eval_u
+from .chebyshev import eval_combo
 from .errors import (DegenerateSpectrumWarning, DimensionMismatch,
                      NoConvergence, SingularParameters)
 from .metric import (MetricMatrix, VerificationReport, dieudonne_nullspace,
@@ -22,15 +22,13 @@ from .metric import (MetricMatrix, VerificationReport, dieudonne_nullspace,
                      metric_n3_special, metric_n4_special, verify_metric)
 from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
                     energy_from_y, reparametrize, z_from_xizeta)
-from .spectrum import (Spectrum, Wavefunction, charpoly_eigenvalues,
-                       eigen_residual, find_roots, reality_flags,
-                       secular_polynomial, solve_spectrum, trig_secular,
+from .spectrum import (Spectrum, Wavefunction, eigen_residual,
+                       reality_flags, secular_polynomial, solve_spectrum,
                        wavefunction)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebCombo",
     "ContinuumTable",
     "CriticalResult",
     "DegenerateSpectrumWarning",
@@ -49,7 +47,6 @@ __all__ = [
     "VerificationReport",
     "Wavefunction",
     "build_hamiltonian",
-    "charpoly_eigenvalues",
     "classify_reality",
     "continuum_convergence",
     "critical_zeta",
@@ -59,9 +56,6 @@ __all__ = [
     "endpoint_locus",
     "energy_from_y",
     "eval_combo",
-    "eval_t",
-    "eval_u",
-    "find_roots",
     "hermitian_eigenvalues",
     "metric_band",
     "metric_band_extended",
@@ -75,7 +69,6 @@ __all__ = [
     "solve_spectrum",
     "sweep_xi",
     "sweep_zeta",
-    "trig_secular",
     "verify_metric",
     "wavefunction",
     "z_from_xizeta",

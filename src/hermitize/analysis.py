@@ -5,23 +5,19 @@ theorem: with y = (t + 1/t)/2 each band root is a level crossing of a
 phase that is strictly increasing there), so ``critical_zeta`` solves
 only the couplings of its grid with |z| > 1.
 
-The sweeps evaluate many couplings in one batched root solve.  When the
-environment variable ``HERMITIZE_THREADS`` is set to a positive integer,
-grids are split into that many chunks and solved concurrently; chunks
-share no mutable state and results are assembled in axis order, and the
-root iteration solves every coupling independently of the others in its
-batch, so the output is independent of the chunking.
+The sweeps solve all couplings of a grid in one batched call, in the
+calling thread.  The solver treats every coupling independently of the
+others in its batch, so each row of a sweep is bitwise the single-point
+solve at the same coupling.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularParameters
 from .metric import FAMILIES, hermitian_eigenvalues
-from .model import energy_from_y
+from .model import check_size, energy_from_y
 from .spectrum import (REALITY_TOL, _solve_batch, _solve_blocks,
                        reality_flags)
 
@@ -31,28 +27,16 @@ from .spectrum import (REALITY_TOL, _solve_batch, _solve_blocks,
 MERGE_TOL = 1e-4
 
 
-def _max_threads():
-    raw = os.environ.get("HERMITIZE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(
-            f"HERMITIZE_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _zs_from_grid(xi, zeta):
-    """Vectorized coupling map with an explicit pole check.
+    """Vectorized coupling map with explicit finiteness and pole checks.
 
     The same operations as ``model.z_from_xizeta``, elementwise, so every
     coupling is bitwise the one a single-point solve uses.
     """
     xi = np.asarray(xi, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
+    if not (np.isfinite(xi).all() and np.isfinite(zeta).all()):
+        raise ValueError("xi and zeta must be finite")
     denom = (1.0 - zeta) * (1.0 - zeta) + xi * xi
     if np.any(denom == 0.0):
         raise SingularParameters(
@@ -62,22 +46,6 @@ def _zs_from_grid(xi, zeta):
     zs.real = (1.0 - zeta) / denom
     zs.imag = xi / denom
     return zs
-
-
-def _batched_roots(n, zs, tol=1e-12, max_iter=500):
-    threads = _max_threads()
-    if threads == 1 or zs.size < 2 * threads:
-        return _solve_batch(n, zs, tol=tol, max_iter=max_iter)
-    out = np.empty((zs.size, n), dtype=complex)
-    chunks = [c for c in np.array_split(np.arange(zs.size), threads)
-              if c.size]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_solve_batch, n, zs[c],
-                               tol=tol, max_iter=max_iter): c
-                   for c in chunks}
-        for fut, c in futures.items():
-            out[c] = fut.result()
-    return out
 
 
 @dataclass
@@ -187,9 +155,9 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     Parameters
     ----------
     n : int
-        Chain length.
+        Chain length, an integer >= 2.
     zeta : float
-        Fixed detuning.
+        Fixed detuning; it and the grid must be finite.
     xi_min, xi_max : float
         Grid range (inclusive).
     steps : int
@@ -205,9 +173,10 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     SweepResult
         Row i is bitwise ``solve_spectrum`` at (values[i], zeta).
     """
+    check_size(n)
     values = np.linspace(xi_min, xi_max, steps)
     zs = _zs_from_grid(values, zeta)
-    roots = _batched_roots(n, zs, tol=tol, max_iter=max_iter)
+    roots = _solve_batch(n, zs, tol=tol, max_iter=max_iter)
     return SweepResult(
         axis="xi", values=values, fixed={"zeta": zeta}, n=n,
         convention=convention, y_roots=roots,
@@ -225,6 +194,7 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     Parameters
     ----------
     n : int
+        Chain length, an integer >= 2.
     xi : float
         Fixed coupling strength.
     zeta_min, zeta_max : float
@@ -238,9 +208,10 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     SweepResult
         Row i is bitwise ``solve_spectrum`` at (xi, values[i]).
     """
+    check_size(n)
     values = np.linspace(zeta_min, zeta_max, steps)
     zs = _zs_from_grid(xi, values)
-    roots = _batched_roots(n, zs, tol=tol, max_iter=max_iter)
+    roots = _solve_batch(n, zs, tol=tol, max_iter=max_iter)
     return SweepResult(
         axis="zeta", values=values, fixed={"xi": xi}, n=n,
         convention=convention, y_roots=roots,
@@ -310,8 +281,7 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     coupling with |z| <= 1 has n real roots in (-1, 1), so it is real
     without a solve; at zeta <= 0 no coupling is solved at all.  The
     remaining couplings are solved in blocks (``spectrum._solve_blocks``),
-    in grid order and in the calling thread (``HERMITIZE_THREADS`` does
-    not apply), and the scan stops at the first block with a non-real
+    in grid order, and the scan stops at the first block with a non-real
     root.  Roots do not depend on the blocks or on which couplings share
     them, so the bisection steps and the result are those of a whole-grid
     scan; but a ``NoConvergence`` in a block after the first non-real one
@@ -341,8 +311,7 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     -------
     CriticalResult
     """
-    if int(n) != n or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n}")
+    check_size(n)
     if not (np.isfinite(xi_max) and xi_max >= 0.0):
         raise ValueError(f"xi_max must be finite and >= 0, got {xi_max}")
     _check_tolerance("zeta_tol", zeta_tol)
@@ -582,6 +551,7 @@ def endpoint_locus(n, samples=20, t=None):
     Parameters
     ----------
     n : int
+        Chain length, an integer >= 2.
     samples : int
         Number of points per branch when ``t`` is not given.
     t : array_like, optional
@@ -591,6 +561,7 @@ def endpoint_locus(n, samples=20, t=None):
     -------
     LocusResult
     """
+    check_size(n)
     if t is None:
         t = np.linspace(0.0, 1.0, samples)
     t = np.asarray(t, dtype=float)

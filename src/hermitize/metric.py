@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpectrumWarning, DimensionMismatch
-from .model import ModelParams, TridiagonalHamiltonian, build_hamiltonian
+from .model import TridiagonalHamiltonian, build_hamiltonian, check_size
 
 
 def _cmul(a, b):
@@ -221,7 +221,7 @@ class MetricFamily:
         Parameter names in call order with their defaults; None marks a
         required parameter.
     size : int or None
-        The fixed dimension, or None when every n >= 1 works.
+        The fixed dimension, or None when every n >= 2 works.
     swept : str
         The parameter that is also the coupling, "omega" or "xi".
         Positivity sweeps run along it, and the ``metric`` CSV prints it as
@@ -241,10 +241,11 @@ class MetricFamily:
         """Check a size and parameters; return the parameters in call order.
 
         Defaults fill in what ``given`` leaves out.  Raises ValueError for
-        a missing required parameter, a parameter the family does not take,
-        or a size other than the fixed one.  Parameter names in the message
-        are prefixed with ``flag``.
+        a size below 2 or other than the fixed one, a missing required
+        parameter, or a parameter the family does not take.  Parameter
+        names in the message are prefixed with ``flag``.
         """
+        check_size(n)
         for name, default in self.params:
             if default is None and name not in given:
                 raise ValueError(f"family {self.name!r} needs {flag}{name}")
@@ -485,7 +486,8 @@ def dieudonne_nullspace(params, tol_rank=1e-10):
         The operator, or parameters to build it from.  A dense square
         matrix is accepted so arbitrary operators can be analyzed.
     tol_rank : float
-        Relative pivot cutoff for the rank decision.
+        Relative pivot cutoff for the rank decision; must be finite and
+        > 0.
 
     Returns
     -------
@@ -493,6 +495,8 @@ def dieudonne_nullspace(params, tol_rank=1e-10):
         Frobenius-orthonormal basis of the solution space (family
         "nullspace"; not necessarily positive definite individually).
     """
+    if not (np.isfinite(tol_rank) and tol_rank > 0.0):
+        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
     if isinstance(params, TridiagonalHamiltonian):
         hd = params.dense()
     elif isinstance(params, (np.ndarray, list)):

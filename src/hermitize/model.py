@@ -16,6 +16,12 @@ from .errors import SingularParameters
 _CONVENTIONS = ("lattice", "shifted")
 
 
+def check_size(n):
+    """Raise ValueError unless n is an integer >= 2, the shortest chain."""
+    if int(n) != n or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}")
+
+
 def z_from_xizeta(xi, zeta):
     """Endpoint coupling z = 1/(1 - zeta - i xi).
 
@@ -73,7 +79,8 @@ class ModelParams:
     """Parameters of the n-site well with complex endpoint coupling.
 
     Exactly one coupling style must be supplied: either both ``xi`` and
-    ``zeta``, or ``omega`` (with ``rho`` optional, defaulting to 0).
+    ``zeta``, or ``omega`` (with ``rho`` optional, defaulting to 0).  Every
+    coupling parameter given must be finite.
 
     Parameters
     ----------
@@ -97,8 +104,7 @@ class ModelParams:
     convention: str = "lattice"
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+        check_size(self.n)
         if self.convention not in _CONVENTIONS:
             raise ValueError(f"convention must be one of {_CONVENTIONS}")
         robin = self.xi is not None or self.zeta is not None
@@ -107,6 +113,10 @@ class ModelParams:
             raise ValueError(
                 "give either (xi, zeta) or (omega, rho), not a mixture"
             )
+        for name in ("xi", "zeta", "omega", "rho"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if robin:
             if self.xi is None or self.zeta is None:
                 raise ValueError("the Robin style needs both xi and zeta")

@@ -48,16 +48,8 @@ two factors t^n (t - z) -/+ (1 - z t) of the t-equation.  Every step is
 elementwise or a reduction along one coupling's row, so a coupling's roots
 do not depend on which other couplings share its batch.  A value that is
 not finite never counts as converged; a solve that does not converge
-within ``max_iter`` steps of a stage raises ``NoConvergence``.
-
-``find_roots`` solves a general second-kind Chebyshev combination with a
-batched Aberth iteration whose stopping test knows the round-off floor of
-the Clenshaw evaluation; the two members of a conjugate pair are given
-their mean real part, so a pair comes out (-Im, +Im) whatever the
-round-off.  A second, representation-independent route evaluates the
-characteristic polynomial directly through the tridiagonal determinant
-recurrence (``charpoly_eigenvalues``); it is deliberately separate from
-the secular construction so the two can be used to cross-check each other.
+within ``max_iter`` steps of a stage raises ``NoConvergence``, and so
+does a solve that would return a root that is not finite.
 """
 
 import warnings
@@ -65,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebCombo, _clenshaw_full
 from .errors import DimensionMismatch, NoConvergence
 from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
                     energy_from_y)
@@ -76,14 +67,6 @@ _EPS = np.finfo(float).eps
 # times max(1, |y|); the solver converges to ~1e-12 relative error, so the
 # margin is three orders of magnitude.
 REALITY_TOL = 1e-9
-
-# find_roots starts on the band ellipse below this degree.  At high n and
-# |z| the unscaled evaluation can overflow and the outcome depends
-# erratically on the start: on 374 fresh couplings at n = 128 .. 256 the
-# ellipse returned silent wrong roots for 11 and the circle for 7, so the
-# circle stays there; on 400 at n = 64 .. 112 the ellipse did so for 1 and
-# the circle for 5.
-_BAND_START_DEGREES = 128
 
 # The batched solve works through its couplings in blocks of this many
 # rows, and critical_zeta's scan stops at the first block with a non-real
@@ -115,194 +98,23 @@ def secular_polynomial(params):
 
     Returns
     -------
-    ChebCombo
-        Coefficients of z zb U_{n-2} - (z + zb) U_{n-1} + U_n, i.e.
-        (|z|^2, -2 Re z, 1) at degrees (n-2, n-1, n).
+    numpy.ndarray
+        The n + 1 coefficients of z zb U_{n-2} - (z + zb) U_{n-1} + U_n,
+        low degree first: (|z|^2, -2 Re z, 1) at degrees (n-2, n-1, n)
+        and 0 below.
     """
     z = params.z
     c = np.zeros(params.n + 1)
     c[params.n - 2] = abs(z) ** 2
     c[params.n - 1] = -2.0 * z.real
     c[params.n] = 1.0
-    return ChebCombo(c)
-
-
-def trig_secular(params, gamma):
-    """Secular function in the angle variable, y = cos(gamma).
-
-    Evaluates z zb sin((n-1) g) - (z + zb) sin(n g) + sin((n+1) g), which
-    equals sin(gamma) times the polynomial form at y = cos(gamma).  Useful
-    for closed-form checks on the unit interval.
-
-    Parameters
-    ----------
-    params : ModelParams
-    gamma : array_like
-        Angle, real or complex.
-
-    Returns
-    -------
-    numpy.ndarray
-    """
-    z = params.z
-    n = params.n
-    g = np.asarray(gamma)
-    return (abs(z) ** 2 * np.sin((n - 1) * g)
-            - 2.0 * z.real * np.sin(n * g)
-            + np.sin((n + 1) * g))
-
-
-def _aberth(evaluate, start, tol, max_iter):
-    """Batched Aberth root iteration with a round-off-aware stopping test.
-
-    Each row of ``start`` is one polynomial.  A point freezes once its
-    value is at the evaluation round-off floor or its step is below
-    ``tol``, and only the points still moving are evaluated and stepped.
-    Each moving point is repelled by every other point of its row, frozen
-    ones included.  A value, derivative or noise bound that is not finite
-    (overflow, inf, nan) never freezes a point, so a root the evaluation
-    cannot resolve ends in ``NoConvergence``.  The result of a row depends
-    only on its own start and polynomial.
-
-    Parameters
-    ----------
-    evaluate : callable
-        Called as ``evaluate(rows, y)`` with 1-d arrays of the moving
-        points: ``rows[i]`` is the batch row of the iterate ``y[i]``.
-        Returns 1-d (value, derivative, noise) at those points, where
-        ``noise`` bounds the evaluation round-off of ``value``.
-    start : numpy.ndarray
-        Starting points, shape (npoly, degree); not modified.  The secular
-        solve passes ``_secular_start``, ``charpoly_eigenvalues`` a
-        ``_circle_start``.
-    tol : float
-        Relative step tolerance for acceptance.
-    max_iter : int
-        Iteration budget.
-
-    Returns
-    -------
-    numpy.ndarray
-        Roots of shape (npoly, degree), unsorted.
-    """
-    y = np.array(start, dtype=complex, order="C")
-    degree = y.shape[1]
-    flat = y.reshape(-1)
-    live = np.arange(flat.size)
-
-    for _ in range(max_iter):
-        rows, cols = np.divmod(live, degree)
-        ya = flat[live]
-        p, dp, noise = evaluate(rows, ya)
-        finite = np.isfinite(p) & np.isfinite(dp) & np.isfinite(noise)
-        # |p| at the evaluation round-off floor: nothing left to resolve.
-        frozen = finite & (np.abs(p) <= noise)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = p / dp
-            # One contiguous row of 1 / (y_i - y_j) over the whole row per
-            # moving point, so the sum runs in the order of a whole-row
-            # (degree, degree) block; built in place in the gathered rows.
-            inv = y[rows]
-            np.subtract(ya[:, None], inv, out=inv)
-            inv[np.arange(live.size), cols] = np.inf
-            np.divide(1.0, inv, out=inv)
-            repulsion = np.sum(inv, axis=1)
-            w = newton / (1.0 - newton * repulsion)
-        w = np.where(np.isfinite(w), w, 0.1)
-        w = np.where(frozen, 0.0, w)
-        ya = ya - w
-        frozen |= finite & (np.abs(w) <= tol * np.maximum(1.0, np.abs(ya)))
-        flat[live] = ya
-        live = live[~frozen]
-        if live.size == 0:
-            return y
-    raise NoConvergence(
-        f"root iteration did not converge in {max_iter} steps", best=y)
-
-
-def _circle_start(center, npoly, degree):
-    """Start points on the circle of radius 1.2 about ``center``."""
-    k = np.arange(degree)
-    start = center + 1.2 * np.exp(1j * (2.0 * np.pi * k / degree + 0.5))
-    return np.broadcast_to(start, (npoly, degree))
-
-
-def _secular_start(npoly, degree):
-    """Start points of the secular solve, shape (npoly, degree).
-
-    Below degree ``_BAND_START_DEGREES`` the points lie on a thin ellipse
-    about the band [-1, 1], where the roots sit near the Dirichlet points
-    cos(pi k / (n + 1)).  The phase offset pi / (2 degree) interleaves the
-    real parts of the upper and lower halves, one start per root, and
-    keeps every start off the real axis.  From that degree on the solve
-    starts on the radius-1.2 circle about 0.
-    """
-    if degree >= _BAND_START_DEGREES:
-        return _circle_start(0.0, npoly, degree)
-    theta = 2.0 * np.pi * (np.arange(degree) + 0.25) / degree
-    # Semi-axes chosen by measured iteration counts on n = 6 .. 32 sweep
-    # grids and by outcomes on high-|z| couplings: on 300 fresh ones at
-    # n = 64 .. 112, (1.05, 0.1) returned 1 wrong root and 6
-    # NoConvergence, while (1, 0.15), about 30% faster on the sweeps,
-    # returned 5 and 17.
-    start = 1.05 * np.cos(theta) + 0.1j * np.sin(theta)
-    return np.broadcast_to(start, (npoly, degree))
+    return c
 
 
 def _lexsorted_rows(y):
     """Sort each row by (Re, Im), ascending; deterministic output order."""
     return np.take_along_axis(y, np.lexsort((y.imag, y.real), axis=-1),
                               axis=-1)
-
-
-def _tie_conjugate_pairs(y):
-    """Give both members of each conjugate pair their mean real part.
-
-    Real coefficients make the exact roots closed under conjugation, but
-    the two computed members of a pair differ in their last bits, so a
-    (Re, Im) sort would order them by round-off.  Roots i != j of a row are
-    a pair when each is the other's nearest conjugate (counting its own
-    conjugate) and |y_i - conj(y_j)| <= REALITY_TOL * max(1, |y|).  With
-    equal real parts the sort puts the pair out as (-Im, +Im).
-    """
-    dist = np.abs(y[:, :, None] - np.conj(y)[:, None, :])
-    mate = np.argmin(dist, axis=2)
-    near = np.min(dist, axis=2) <= REALITY_TOL * np.maximum(1.0, np.abs(y))
-    own = np.arange(y.shape[1])
-    paired = ((mate != own) & (np.take_along_axis(mate, mate, axis=1) == own)
-              & near & np.take_along_axis(near, mate, axis=1))
-    re = np.where(paired,
-                  0.5 * (y.real + np.take_along_axis(y.real, mate, axis=1)),
-                  y.real)
-    return re + 1j * y.imag
-
-
-def find_roots(combo, tol=1e-12, max_iter=500):
-    """All roots of a second-kind Chebyshev combination.
-
-    Parameters
-    ----------
-    combo : ChebCombo
-        Polynomial to solve; must have degree >= 1.
-    tol : float
-        Relative acceptance tolerance on the Aberth step.
-    max_iter : int
-        Iteration budget; exceeding it raises ``NoConvergence``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Complex roots sorted by (Re, Im); the members of a conjugate pair
-        share their real part, so the pair comes out (-Im, +Im).
-    """
-    if combo.degree < 1:
-        raise ValueError("cannot solve a constant polynomial")
-
-    def evaluate(rows, y):
-        return _clenshaw_full(combo.coeffs, y)
-
-    roots = _aberth(evaluate, _secular_start(1, combo.degree), tol, max_iter)
-    return _lexsorted_rows(_tie_conjugate_pairs(roots))[0]
 
 
 def _half_phase(n, a, b, m2, p2, gamma):
@@ -633,15 +445,17 @@ def _secular_roots(n, zs, tol, max_iter):
     z with |z|^n > e^_BOUND_SPLIT).  Every step is elementwise or a
     reduction along one row, so a row's roots do not depend on the other
     rows of the batch.  ``tol`` is the relative step of the outer
-    iteration and ``max_iter`` the iteration budget of each stage.
+    iteration and ``max_iter`` the iteration budget of each stage.  A
+    batch with a root that is not finite (|z| near the square root of the
+    largest float, or a nan coupling) raises ``NoConvergence``.
     """
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     a, w = zs.real.copy(), zs.imag.copy()
     if n == 2:
         # P = 4 y^2 - 4 a y + |z|^2 - 1, with discriminant 16 (1 - w^2).
         root = np.sqrt(((1.0 - np.abs(w)) * (1.0 + np.abs(w))) + 0j)
-        return _lexsorted_rows(np.stack([0.5 * (a - root), 0.5 * (a + root)],
-                                        axis=1))
+        return _finite(_lexsorted_rows(
+            np.stack([0.5 * (a - root), 0.5 * (a + root)], axis=1)))
     b = a * a + w * w
     roots = np.full((zs.size, n), np.inf, dtype=complex)
     unit = b == 1.0
@@ -678,7 +492,15 @@ def _secular_roots(n, zs, tol, max_iter):
                 roots[rest[sel], n - left[~bound][sel] + c] = got[sel, c]
         real_z = w[outer] == 0.0
         roots[outer[real_z]] = roots[outer[real_z]].real
-    return _lexsorted_rows(roots)
+    return _finite(_lexsorted_rows(roots))
+
+
+def _finite(roots):
+    """``roots``; raises ``NoConvergence`` if one of them is not finite."""
+    if not np.isfinite(roots).all():
+        raise NoConvergence("a root is not finite (overflow, inf or nan)",
+                            best=roots)
+    return roots
 
 
 def _solve_blocks(n, zs, tol=1e-12, max_iter=500):
@@ -910,7 +732,7 @@ def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
     max_iter : int
         Iteration budget of each stage of the solve (band crossings,
         roots off the band); exceeding it raises ``NoConvergence``, whose
-        ``best`` holds the iterates.
+        ``best`` holds the iterates.  So does a root that is not finite.
     with_wavefunctions : bool
         Also build the eigenvector at every root.
 
@@ -928,68 +750,3 @@ def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
         wfs = [wavefunction(params, y) for y in y_roots]
     return Spectrum(params=params, y_roots=y_roots, energies=energies,
                     is_real=reality_flags(y_roots), wavefunctions=wfs)
-
-
-class _DetEvaluator:
-    """Characteristic polynomial of a tridiagonal matrix, by evaluation.
-
-    Runs the principal-minor recurrence D_k = (d_k - lam) D_{k-1} - D_{k-2}
-    (off-diagonal entries are -1, so their product square is 1) together
-    with its lambda-derivative.  The round-off bound mirrors the Clenshaw
-    one: an error committed at step k propagates through the remaining
-    recurrence like the trailing minor T_{k+1}, so a backward pass over
-    trailing minors converts per-step magnitudes into a bound on D_n.
-    """
-
-    def __init__(self, diag):
-        self.diag = np.asarray(diag, dtype=complex)
-
-    def __call__(self, lam):
-        d = self.diag
-        n = d.size
-        dm2 = np.zeros_like(lam)
-        dm1 = np.ones_like(lam)
-        pm2 = np.zeros_like(lam)
-        pm1 = np.zeros_like(lam)
-        loc = np.empty((n,) + lam.shape)
-        for k in range(n):
-            a = d[k] - lam
-            dk = a * dm1 - dm2
-            pk = a * pm1 - dm1 - pm2
-            loc[k] = np.abs(a * dm1) + np.abs(dm2) + np.abs(dk)
-            dm2, dm1 = dm1, dk
-            pm2, pm1 = pm1, pk
-
-        tp2 = np.zeros_like(lam)
-        tp1 = np.ones_like(lam)
-        noise = loc[n - 1] * np.abs(tp1)
-        for k in range(n - 2, -1, -1):
-            a = d[k + 1] - lam
-            tp2, tp1 = tp1, a * tp1 - tp2
-            noise = noise + loc[k] * np.abs(tp1)
-        return dm1, pm1, 2 * _EPS * noise
-
-
-def charpoly_eigenvalues(h, tol=1e-12, max_iter=500):
-    """Eigenvalues of the Hamiltonian via its characteristic polynomial.
-
-    Independent of the secular-polynomial route: the determinant is
-    evaluated directly from the tridiagonal minor recurrence, never
-    expanded into coefficients (the expansion alone loses eight digits by
-    n ~ 30).
-
-    Parameters
-    ----------
-    h : TridiagonalHamiltonian
-    tol, max_iter :
-        Root iteration controls, as in ``find_roots``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Eigenvalues (in the convention of ``h``) sorted by (Re, Im).
-    """
-    evaluate = _DetEvaluator(h.diagonal())
-    start = _circle_start(np.mean(evaluate.diag), 1, h.n)
-    roots = _aberth(lambda rows, lam: evaluate(lam), start, tol, max_iter)
-    return _lexsorted_rows(roots)[0]

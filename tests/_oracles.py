@@ -5,22 +5,33 @@ are expanded to exact integer monomial coefficients, root sets are
 compared by greedy nearest matching (sorting by (Re, Im) can swap members
 of a conjugate pair whose real parts differ at round-off, which would
 fake errors of twice the imaginary part).  ``clenshaw_full`` and
-``aberth_rows`` are the earlier whole-row Aberth iteration, which
-``find_roots`` and ``charpoly_eigenvalues`` must reproduce bit for bit;
-``solve_batch`` is the earlier Aberth secular solve, against which the
-phase-equation solver keeps its accuracy contract;
-``critical_zeta_whole_grid`` is the earlier critical-detuning bisection,
-whose predicate solves every grid point, which the pruned predicate must
-match bracket for bracket.
+``aberth_rows`` are the earlier whole-row Aberth iteration, with its start
+points (``secular_start``, ``circle_start``) and its conjugate-pair tie
+(``tie_conjugate_pairs``).  On them rest two slow oracles:
+``solve_batch``, the earlier Aberth secular solve, against which the
+phase-equation solver keeps its accuracy contract, and
+``charpoly_eigenvalues``, which finds the eigenvalues from the
+tridiagonal determinant recurrence (``DetEvaluator``) without the secular
+polynomial.  ``critical_zeta_whole_grid`` is the earlier
+critical-detuning bisection, whose predicate solves every grid point,
+which the pruned predicate must match bracket for bracket.
 """
-
 import numpy as np
 
 from hermitize.analysis import CriticalResult, _zs_from_grid
 from hermitize.errors import NoConvergence
-from hermitize.spectrum import (_lexsorted_rows, _secular_start,
-                                _solve_batch, _tie_conjugate_pairs,
+from hermitize.spectrum import (REALITY_TOL, _lexsorted_rows, _solve_batch,
                                 reality_flags)
+
+_EPS = np.finfo(float).eps
+
+# secular_start starts on the band ellipse below this degree.  At high n
+# and |z| the unscaled evaluation can overflow and the outcome depends
+# erratically on the start: on 374 fresh couplings at n = 128 .. 256 the
+# ellipse returned silent wrong roots for 11 and the circle for 7, so the
+# circle stays there; on 400 at n = 64 .. 112 the ellipse did so for 1 and
+# the circle for 5.
+_BAND_START_DEGREES = 128
 
 
 def max_pair_distance(a, b):
@@ -190,6 +201,114 @@ def aberth_rows(evaluate, start, tol, max_iter):
         f"root iteration did not converge in {max_iter} steps", best=y)
 
 
+def circle_start(center, npoly, degree):
+    """Start points on the circle of radius 1.2 about ``center``."""
+    k = np.arange(degree)
+    start = center + 1.2 * np.exp(1j * (2.0 * np.pi * k / degree + 0.5))
+    return np.broadcast_to(start, (npoly, degree))
+
+
+def secular_start(npoly, degree):
+    """Start points of the Aberth secular solve, shape (npoly, degree).
+
+    Below degree ``_BAND_START_DEGREES`` the points lie on a thin ellipse
+    about the band [-1, 1], where the roots sit near the Dirichlet points
+    cos(pi k / (n + 1)).  The phase offset pi / (2 degree) interleaves the
+    real parts of the upper and lower halves, one start per root, and
+    keeps every start off the real axis.  From that degree on the solve
+    starts on the radius-1.2 circle about 0.
+    """
+    if degree >= _BAND_START_DEGREES:
+        return circle_start(0.0, npoly, degree)
+    theta = 2.0 * np.pi * (np.arange(degree) + 0.25) / degree
+    # Semi-axes chosen by measured iteration counts on n = 6 .. 32 sweep
+    # grids and by outcomes on high-|z| couplings: on 300 fresh ones at
+    # n = 64 .. 112, (1.05, 0.1) returned 1 wrong root and 6
+    # NoConvergence, while (1, 0.15), about 30% faster on the sweeps,
+    # returned 5 and 17.
+    start = 1.05 * np.cos(theta) + 0.1j * np.sin(theta)
+    return np.broadcast_to(start, (npoly, degree))
+
+
+def tie_conjugate_pairs(y):
+    """Give both members of each conjugate pair their mean real part.
+
+    Real coefficients make the exact roots closed under conjugation, but
+    the two computed members of a pair differ in their last bits, so a
+    (Re, Im) sort would order them by round-off.  Roots i != j of a row are
+    a pair when each is the other's nearest conjugate (counting its own
+    conjugate) and |y_i - conj(y_j)| <= REALITY_TOL * max(1, |y|).  With
+    equal real parts the sort puts the pair out as (-Im, +Im).
+    """
+    dist = np.abs(y[:, :, None] - np.conj(y)[:, None, :])
+    mate = np.argmin(dist, axis=2)
+    near = np.min(dist, axis=2) <= REALITY_TOL * np.maximum(1.0, np.abs(y))
+    own = np.arange(y.shape[1])
+    paired = ((mate != own) & (np.take_along_axis(mate, mate, axis=1) == own)
+              & near & np.take_along_axis(near, mate, axis=1))
+    re = np.where(paired,
+                  0.5 * (y.real + np.take_along_axis(y.real, mate, axis=1)),
+                  y.real)
+    return re + 1j * y.imag
+
+
+class DetEvaluator:
+    """Characteristic polynomial of a tridiagonal matrix, by evaluation.
+
+    Runs the principal-minor recurrence D_k = (d_k - lam) D_{k-1} - D_{k-2}
+    (off-diagonal entries are -1, so their product square is 1) together
+    with its lambda-derivative.  The round-off bound mirrors the Clenshaw
+    one: an error committed at step k propagates through the remaining
+    recurrence like the trailing minor T_{k+1}, so a backward pass over
+    trailing minors converts per-step magnitudes into a bound on D_n.
+    """
+
+    def __init__(self, diag):
+        self.diag = np.asarray(diag, dtype=complex)
+
+    def __call__(self, lam):
+        d = self.diag
+        n = d.size
+        dm2 = np.zeros_like(lam)
+        dm1 = np.ones_like(lam)
+        pm2 = np.zeros_like(lam)
+        pm1 = np.zeros_like(lam)
+        loc = np.empty((n,) + lam.shape)
+        for k in range(n):
+            a = d[k] - lam
+            dk = a * dm1 - dm2
+            pk = a * pm1 - dm1 - pm2
+            loc[k] = np.abs(a * dm1) + np.abs(dm2) + np.abs(dk)
+            dm2, dm1 = dm1, dk
+            pm2, pm1 = pm1, pk
+
+        tp2 = np.zeros_like(lam)
+        tp1 = np.ones_like(lam)
+        noise = loc[n - 1] * np.abs(tp1)
+        for k in range(n - 2, -1, -1):
+            a = d[k + 1] - lam
+            tp2, tp1 = tp1, a * tp1 - tp2
+            noise = noise + loc[k] * np.abs(tp1)
+        return dm1, pm1, 2 * _EPS * noise
+
+
+def charpoly_eigenvalues(h, tol=1e-12, max_iter=500):
+    """Eigenvalues of a ``TridiagonalHamiltonian`` from its determinant.
+
+    An Aberth solve (``aberth_rows``) of the characteristic polynomial,
+    evaluated by the minor recurrence of ``DetEvaluator`` and never
+    expanded into coefficients (the expansion alone loses eight digits by
+    n ~ 30), from the radius-1.2 circle about the mean diagonal entry.
+    Independent of the secular polynomial; sorted by (Re, Im), in the
+    convention of ``h``.
+    """
+    evaluate = DetEvaluator(h.diagonal())
+    start = circle_start(np.mean(evaluate.diag), 1, h.n)
+    roots = aberth_rows(lambda rows, lam: evaluate(lam), start, tol,
+                        max_iter)
+    return _lexsorted_rows(roots)[0]
+
+
 def padded_secular_coeffs(n, zs):
     """Secular coefficients (|z|^2, -2 Re z, 1) padded to (npoly, n + 1)."""
     zs = np.asarray(zs, dtype=complex)
@@ -209,9 +328,9 @@ def solve_batch(n, zs, tol=1e-12, max_iter=500):
     def evaluate(rows, y):
         return clenshaw_full(coeffs[rows], y)
 
-    roots = aberth_rows(evaluate, _secular_start(coeffs.shape[0], n), tol,
+    roots = aberth_rows(evaluate, secular_start(coeffs.shape[0], n), tol,
                         max_iter)
-    return _lexsorted_rows(_tie_conjugate_pairs(roots))
+    return _lexsorted_rows(tie_conjugate_pairs(roots))
 
 
 def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,

@@ -14,10 +14,10 @@ from hermitize.metric import (dieudonne_nullspace, dieudonne_residual,
                               metric_band_extended, metric_n3_general,
                               metric_n3_special, metric_n4_special)
 from hermitize.model import ModelParams, build_hamiltonian
-from hermitize.spectrum import (charpoly_eigenvalues, find_roots,
-                                secular_polynomial, solve_spectrum)
+from hermitize.spectrum import solve_spectrum
 
-from _oracles import max_pair_distance, metric_band_recurrence
+from _oracles import (charpoly_eigenvalues, max_pair_distance,
+                      metric_band_recurrence)
 
 # Low-discrepancy samples for the locus checks: uniform grids can land on
 # isolated exceptional points where a second root collides with y = +/-1
@@ -32,8 +32,7 @@ def _golden(npts):
 def test_hermitian_limit_recovers_closed_form_spectrum():
     worst = 0.0
     for n in range(2, 51):
-        roots = find_roots(secular_polynomial(ModelParams(n=n, xi=0.0,
-                                                          zeta=0.0)))
+        roots = solve_spectrum(ModelParams(n=n, xi=0.0, zeta=0.0)).y_roots
         expect = np.concatenate([[1.0], np.cos(np.arange(1, n) * np.pi / n)])
         worst = max(worst, max_pair_distance(roots, expect))
     print(f"hermitian limit, n = 2..50: worst root error {worst:.3e}")

@@ -55,11 +55,7 @@ def test_sweep_zeta_pole_detection():
     assert res.y_roots.shape == (5, 4)
 
 
-def test_sweep_thread_count_does_not_change_results(monkeypatch):
-    base = sweep_xi(6, 0.3, 0.0, 2.0, 40)
-    monkeypatch.setenv("HERMITIZE_THREADS", "3")
-    threaded = sweep_xi(6, 0.3, 0.0, 2.0, 40)
-    assert np.array_equal(base.y_roots, threaded.y_roots)
+def test_sweep_thread_count_does_not_change_results():
     # Rows are solved independently, so the roots are bitwise the same
     # however a grid is split, also on grids that cross exceptional points
     # (some rows all real, others with a complex pair) and in uneven chunks
@@ -74,13 +70,23 @@ def test_sweep_thread_count_does_not_change_results(monkeypatch):
         assert np.array_equal(whole, chunked)
 
 
-def test_sweep_rejects_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("HERMITIZE_THREADS", "zero")
-    with pytest.raises(ValueError):
-        sweep_xi(4, 0.1, 0.0, 1.0, 8)
-    monkeypatch.setenv("HERMITIZE_THREADS", "0")
-    with pytest.raises(ValueError):
-        sweep_xi(4, 0.1, 0.0, 1.0, 8)
+@pytest.mark.parametrize("n", [0, 1, 2.5])
+def test_sweeps_and_loci_reject_sizes_below_two_sites(n):
+    for call in (lambda: sweep_xi(n, 0.3, 0.0, 1.0, 4),
+                 lambda: sweep_zeta(n, 0.3, 0.0, 0.5, 4),
+                 lambda: endpoint_locus(n)):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            call()
+
+
+def test_sweeps_reject_non_finite_grids():
+    with pytest.raises(ValueError, match="finite"):
+        sweep_xi(2, np.nan, 0.0, 1.0, 3)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="finite"):
+        sweep_zeta(4, 0.5, 0.0, np.inf, 3)
+    with pytest.raises(ValueError, match="finite"):
+        critical_zeta(4, bracket=(np.nan, 0.75))
 
 
 def test_critical_zeta_two_site_analytic():

@@ -196,15 +196,18 @@ def test_critical_json_fields(capsys):
     assert doc["bracket"][0] <= doc["value"] <= doc["bracket"][1]
 
 
-def _run_process(*argv):
+def _run_python(*args):
     # A fresh interpreter with a timeout, so a bisection that never ends
     # fails the test instead of hanging the suite.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "hermitize.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def _run_process(*argv):
+    return _run_python("-m", "hermitize.cli", *argv)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -273,9 +276,53 @@ def test_no_convergence_exit_code(monkeypatch, capsys):
     assert code == 2 and "stalled" in err
 
 
-def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("HERMITIZE_THREADS", "-2")
-    code, _, err = _run(capsys, "sweep", "--n", "4", "--axis", "xi",
-                        "--min", "0", "--max", "1", "--steps", "4",
-                        "--zeta", "0.2")
-    assert code == 1 and "HERMITIZE_THREADS" in err
+@pytest.mark.parametrize("argv, code", [
+    (("spectrum", "--n", "8", "--omega", "1e154", "--rho", "1e154"), 2),
+    (("spectrum", "--n", "8", "--omega", "nan"), 1),
+    (("spectrum", "--n", "4", "--xi", "inf", "--zeta", "0"), 1),
+    (("wavefn", "--n", "4", "--omega", "0.5", "--rho", "-inf"), 1),
+    (("sweep", "--n", "2", "--axis", "xi", "--min", "0", "--max", "1",
+      "--steps", "3", "--zeta", "nan"), 1),
+    (("sweep", "--n", "4", "--axis", "zeta", "--min", "0", "--max", "inf",
+      "--steps", "3", "--xi", "0.5"), 1),
+    (("nullspace", "--n", "3", "--xi", "nan", "--zeta", "0.2"), 1),
+], ids=["overflow", "omega-nan", "xi-inf", "rho-inf", "sweep-zeta-nan",
+        "sweep-max-inf", "nullspace-nan"])
+def test_non_finite_values_are_never_printed(capsys, argv, code):
+    with np.errstate(all="ignore"):
+        got, out, err = _run(capsys, *argv)
+    assert got == code and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n", "0", "--axis", "xi", "--min", "0", "--max", "1",
+     "--steps", "3", "--zeta", "0.3"),
+    ("sweep", "--n", "1", "--axis", "zeta", "--min", "0", "--max", "0.5",
+     "--steps", "3", "--xi", "0.3"),
+    ("metric", "--n", "0", "--family", "band", "--omega", "0.3"),
+    ("metric", "--n", "1", "--family", "band", "--omega", "0.3"),
+    ("verify", "--n", "0", "--family", "band", "--omega", "0.3"),
+    ("locus", "--n", "0"),
+    ("locus", "--n", "1"),
+], ids=lambda argv: f"{argv[0]}-n{argv[2]}")
+def test_sizes_below_two_sites_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "n must be an integer >= 2" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_nullspace_rejects_bad_rank_tolerance(capsys, value):
+    code, out, err = _run(capsys, "nullspace", "--n", "3", "--xi", "0.5",
+                          "--zeta", "0.2", f"--tol-rank={value}")
+    assert code == 1 and out == "" and "tol_rank" in err
+
+
+def test_cli_import_leaves_out_the_thread_pool_modules():
+    # Every CLI call pays the import; concurrent.futures (and logging,
+    # which it imports) have no user left in the package.
+    proc = _run_python(
+        "-c", "import sys, hermitize.cli; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

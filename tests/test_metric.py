@@ -210,3 +210,24 @@ def test_nullspace_rank_tolerance_effect():
         warnings.simplefilter("ignore", DegenerateSpectrumWarning)
         loose = dieudonne_nullspace(p, tol_rank=1.0)
     assert len(loose) >= 3
+
+
+@pytest.mark.parametrize("tol_rank", [0.0, -1.0, np.nan, np.inf])
+def test_nullspace_rejects_bad_rank_tolerance(tol_rank):
+    # At (n, xi, zeta) = (3, 0.5, 0.2) the dimension is 3; a cutoff of 0
+    # used to report 2 and a negative or nan one 0, without an error.
+    with pytest.raises(ValueError, match="tol_rank"):
+        dieudonne_nullspace(ModelParams(n=3, xi=0.5, zeta=0.2),
+                            tol_rank=tol_rank)
+    assert len(dieudonne_nullspace(ModelParams(n=3, xi=0.5, zeta=0.2))) == 3
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_family_bind_rejects_sizes_below_two(n):
+    for family in FAMILIES.values():
+        given = {family.swept: 0.3, **{name: 0.1 for name, default
+                                       in family.params if default is None}}
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            family.bind(n, given)
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        metric_positivity_sweep("band", 1, -1.0, 1.0, 5)

@@ -62,6 +62,14 @@ def test_params_validation_errors():
         ModelParams(n=4, xi=0.0, zeta=1.0)
 
 
+@pytest.mark.parametrize("coupling", [
+    {"xi": np.nan, "zeta": 0.2}, {"xi": 0.3, "zeta": np.inf},
+    {"omega": np.nan}, {"omega": 0.5, "rho": -np.inf}])
+def test_params_reject_non_finite_couplings(coupling):
+    with pytest.raises(ValueError, match="must be finite"):
+        ModelParams(n=4, **coupling)
+
+
 def test_dense_matrix_structure():
     p = ModelParams(n=4, omega=0.5, rho=0.25)
     h = build_hamiltonian(p)

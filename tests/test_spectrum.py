@@ -3,20 +3,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hermitize.analysis import _zs_from_grid
-from hermitize.chebyshev import ChebCombo
+from hermitize.chebyshev import eval_combo
 from hermitize.errors import DimensionMismatch, NoConvergence
 from hermitize.model import ModelParams, build_hamiltonian
 from hermitize import spectrum
-from hermitize.spectrum import (_DetEvaluator, _aberth, _circle_start,
-                                _lexsorted_rows, _secular_start,
-                                _solve_batch,
-                                _tie_conjugate_pairs, charpoly_eigenvalues,
-                                eigen_residual, find_roots, reality_flags,
+from hermitize.spectrum import (_lexsorted_rows, _solve_batch,
+                                eigen_residual, reality_flags,
                                 secular_polynomial, solve_spectrum,
-                                trig_secular, wavefunction)
+                                wavefunction)
 
 import _oracles
-from _oracles import combo_monomial, max_pair_distance
+from _oracles import (charpoly_eigenvalues, combo_monomial,
+                      max_pair_distance, tie_conjugate_pairs)
 
 
 def _same_bits(a, b):
@@ -35,20 +33,25 @@ def _ep_grid(zeta, xi_max, steps):
 def test_secular_coefficients_by_hand():
     # |z|^2 at degree n-2, -2 Re z at n-1, 1 at n.
     p = ModelParams(n=4, omega=0.5, rho=0.25)
-    combo = secular_polynomial(p)
     z = 1.25 + 0.5j
     expect = np.zeros(5)
     expect[2] = abs(z) ** 2
     expect[3] = -2 * z.real
     expect[4] = 1.0
-    assert np.allclose(combo.coeffs, expect, atol=0)
+    assert np.array_equal(secular_polynomial(p), expect)
+
+
+def _companion_roots(p):
+    # The secular polynomial expanded to monomials, solved by numpy.
+    return np.roots(combo_monomial(secular_polynomial(p))[::-1])
 
 
 def test_two_site_closed_form_roots():
     # n = 2, rho = 0: 4 y^2 - 4 y + omega^2 = 0.
     for omega in (0.5, 1.5):
         p = ModelParams(n=2, omega=omega)
-        roots = find_roots(secular_polynomial(p))
+        roots = solve_spectrum(p).y_roots
+        assert max_pair_distance(roots, _companion_roots(p)) < 1e-8
         disc = 1.0 - omega ** 2
         if disc >= 0:
             expect = [(1 - np.sqrt(disc)) / 2, (1 + np.sqrt(disc)) / 2]
@@ -62,7 +65,8 @@ def test_unit_coupling_factorizes():
     # z = 1: roots are exactly {1} and {cos(k pi / n)}.
     for n in (2, 5, 12):
         p = ModelParams(n=n, xi=0.0, zeta=0.0)
-        roots = find_roots(secular_polynomial(p))
+        roots = solve_spectrum(p).y_roots
+        assert max_pair_distance(roots, _companion_roots(p)) < 1e-8
         expect = np.concatenate([[1.0], np.cos(np.arange(1, n) * np.pi / n)])
         assert max_pair_distance(roots, expect) < 1e-12
 
@@ -75,22 +79,19 @@ def test_find_roots_against_companion_oracle():
         xi = rng.uniform(-2, 2)
         zeta = rng.uniform(0, 0.9)
         p = ModelParams(n=n, xi=xi, zeta=zeta)
-        combo = secular_polynomial(p)
-        mono = combo_monomial(combo.coeffs)
-        expect = np.roots(mono[::-1])
-        got = find_roots(combo)
-        assert max_pair_distance(got, expect) < 1e-8
+        got = solve_spectrum(p).y_roots
+        assert max_pair_distance(got, _companion_roots(p)) < 1e-8
 
 
 def test_trig_secular_consistent_with_polynomial():
+    # sin(gamma) P(cos gamma) in the angle variable, from its closed form.
     p = ModelParams(n=6, xi=0.8, zeta=0.3)
-    combo = secular_polynomial(p)
     gamma = np.linspace(0.1, 3.0, 17)
-    y = np.cos(gamma)
-    from hermitize.chebyshev import eval_combo
-    poly, _ = eval_combo(combo, y)
-    assert np.allclose(trig_secular(p, gamma), np.sin(gamma) * poly,
-                       atol=1e-12)
+    poly, _ = eval_combo(secular_polynomial(p), np.cos(gamma))
+    z, n = p.z, p.n
+    trig = (abs(z) ** 2 * np.sin((n - 1) * gamma)
+            - 2.0 * z.real * np.sin(n * gamma) + np.sin((n + 1) * gamma))
+    assert np.allclose(trig, np.sin(gamma) * poly, atol=1e-12)
 
 
 def test_solve_spectrum_energies_and_flags():
@@ -140,14 +141,14 @@ def test_conjugate_pair_order_does_not_depend_on_round_off():
         [a + 0.2j, b - 0.2j, -0.5 + 0j, 0.7 + 1e-17j],
         [a - 0.2j, -0.5 + 0j, 0.7 + 1e-17j, b + 0.2j],
     ])
-    out = _lexsorted_rows(_tie_conjugate_pairs(rows))
+    out = _lexsorted_rows(tie_conjugate_pairs(rows))
     expect = np.array([-0.5, m - 0.2j, m + 0.2j, 0.7 + 1e-17j])
     assert np.array_equal(out, np.broadcast_to(expect, out.shape))
     # Near-real roots of opposite Im sign and roots that are not close to
     # each other's conjugate keep their values.
     apart = np.array([[0.5 + 1e-12j, 0.5 + 1e-3 - 1e-12j,
                        0.3 + 0.5j, 0.7 - 0.4j]])
-    assert np.array_equal(_tie_conjugate_pairs(apart), apart)
+    assert np.array_equal(tie_conjugate_pairs(apart), apart)
     # Solver output: every complex pair shares its real part, -Im first.
     y = _solve_batch(32, 1.0 / (0.7 - 1j * np.linspace(0.0, 3.0, 60)))
     lower = ~reality_flags(y) & (y.imag < 0)
@@ -155,24 +156,6 @@ def test_conjugate_pair_order_does_not_depend_on_round_off():
     partner = np.roll(y, -1, axis=1)[lower]
     assert np.array_equal(partner.real, y[lower].real)
     assert np.all(partner.imag > 0)
-
-
-def test_band_start_needs_few_iterations():
-    # Started on the ellipse about [-1, 1], the solve needs at most 14
-    # iterations here; from the radius-1.2 circle it needed 21 to 42.
-    for xi, zeta in ((0.4, 0.3), (1.2, 0.6), (0.05, 0.9), (3.0, -0.5)):
-        for n in (32, 64):
-            combo = secular_polynomial(ModelParams(n=n, xi=xi, zeta=zeta))
-            find_roots(combo, max_iter=16)
-
-
-def test_find_roots_rejects_constants_and_budget():
-    with pytest.raises(ValueError):
-        find_roots(ChebCombo([3.0]))
-    combo = secular_polynomial(ModelParams(n=12, xi=1.0, zeta=0.5))
-    with pytest.raises(NoConvergence) as info:
-        find_roots(combo, max_iter=2)
-    assert info.value.best is not None
 
 
 def test_reality_flags_scale_with_magnitude():
@@ -307,52 +290,6 @@ def test_phase_solver_keeps_the_aberth_contract():
     assert moved <= 5
 
 
-def test_find_roots_and_charpoly_match_whole_row_oracle_bitwise():
-    for n in (8, 32, 64):
-        p = ModelParams(n=n, xi=1.1, zeta=0.35)
-        coeffs = secular_polynomial(p).coeffs
-
-        def clenshaw(rows, y):
-            return _oracles.clenshaw_full(coeffs[None, :], y)
-
-        expect = _oracles.aberth_rows(clenshaw, _secular_start(1, n),
-                                      1e-12, 500)
-        expect = _lexsorted_rows(_tie_conjugate_pairs(expect))[0]
-        assert _same_bits(find_roots(secular_polynomial(p)), expect)
-
-        h = build_hamiltonian(p)
-        det = _DetEvaluator(h.diagonal())
-        start = _circle_start(np.mean(det.diag), 1, n)
-        expect = _oracles.aberth_rows(lambda rows, lam: det(lam), start,
-                                      1e-12, 500)
-        assert _same_bits(charpoly_eigenvalues(h), _lexsorted_rows(expect)[0])
-
-        # The best iterate a NoConvergence carries is unchanged too.
-        with pytest.raises(NoConvergence) as got:
-            find_roots(secular_polynomial(p), max_iter=3)
-        with pytest.raises(NoConvergence) as ref:
-            _oracles.aberth_rows(clenshaw, _secular_start(1, n), 1e-12, 3)
-        assert _same_bits(got.value.best, ref.value.best)
-
-
-def test_non_finite_evaluations_never_freeze_a_root():
-    # Overflowed evaluations: |p| = inf <= noise = inf, and a finite p with
-    # dp = inf (a zero Newton step).  Neither may count as convergence.
-    start = _circle_start(0.0, 2, 3)
-
-    def overflow(rows, y):
-        return (np.full(y.shape, complex(-np.inf, np.nan)),
-                np.ones(y.shape, complex), np.full(y.shape, np.inf))
-
-    def flat_step(rows, y):
-        return (np.full(y.shape, 1e-300 + 0j),
-                np.full(y.shape, complex(np.inf, 0.0)), np.zeros(y.shape))
-
-    for evaluate in (overflow, flat_step):
-        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
-            _aberth(evaluate, start, 1e-12, 20)
-
-
 def test_overflowing_secular_solve_is_not_a_silent_wrong_root():
     # At (n, xi, zeta) = (256, 0.01, 0.9) the unscaled evaluation overflows
     # near some iterates; the solve used to return a root with
@@ -365,6 +302,26 @@ def test_overflowing_secular_solve_is_not_a_silent_wrong_root():
         return
     expect = np.linalg.eigvals(build_hamiltonian(p).dense())
     assert max_pair_distance(spec.energies, expect) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("z", [1e155 * (1 + 1j), complex(np.nan, 0.3),
+                               complex(0.5, np.inf)],
+                         ids=["overflow", "nan", "inf"])
+def test_non_finite_roots_are_never_returned(n, z):
+    # |z|^2 overflows, or the coupling is not a number: no root may come
+    # back as inf or nan, also next to a finite coupling in the batch.
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence):
+        _solve_batch(n, [0.5 + 0.3j, z])
+    # A finite coupling whose |z|^2 overflows, through the public call.
+    p = ModelParams(n=n, omega=1e155, rho=1e155)
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence) as info:
+        solve_spectrum(p)
+    assert info.value.best is not None
+    # The finite coupling alone solves, as solve_spectrum does.
+    alone = _solve_batch(n, [0.5 + 0.3j])
+    assert _same_bits(alone[0], solve_spectrum(
+        ModelParams(n=n, omega=0.3, rho=-0.5)).y_roots)
 
 
 # The structure theorem behind critical_zeta's pruned reality predicate.
