@@ -174,6 +174,7 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
         Row i is bitwise ``solve_spectrum`` at (values[i], zeta).
     """
     check_size(n)
+    _check_count("steps", steps)
     values = np.linspace(xi_min, xi_max, steps)
     zs = _zs_from_grid(values, zeta)
     roots = _solve_batch(n, zs, tol=tol, max_iter=max_iter)
@@ -199,6 +200,7 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
         Fixed coupling strength.
     zeta_min, zeta_max : float
     steps : int
+        Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
     tol, max_iter :
         Root solver controls, as in ``sweep_xi``.
@@ -209,6 +211,7 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
         Row i is bitwise ``solve_spectrum`` at (xi, values[i]).
     """
     check_size(n)
+    _check_count("steps", steps)
     values = np.linspace(zeta_min, zeta_max, steps)
     zs = _zs_from_grid(xi, values)
     roots = _solve_batch(n, zs, tol=tol, max_iter=max_iter)
@@ -240,6 +243,11 @@ class CriticalResult:
     bracket: tuple
     xi_max: float
     xi_steps: int
+
+
+def _check_count(name, value):
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_tolerance(name, value):
@@ -315,8 +323,7 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     if not (np.isfinite(xi_max) and xi_max >= 0.0):
         raise ValueError(f"xi_max must be finite and >= 0, got {xi_max}")
     _check_tolerance("zeta_tol", zeta_tol)
-    if xi_steps < 1:
-        raise ValueError(f"xi_steps must be >= 1, got {xi_steps}")
+    _check_count("xi_steps", xi_steps)
     xi_grid = np.linspace(0.0, xi_max, xi_steps)
 
     def all_real(zeta):
@@ -388,6 +395,7 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     param_min, param_max : float
         Grid range; should contain 0, where every family is positive.
     steps : int
+        Number of grid points, >= 1.
     param_tol : float
         Bisection tolerance for the edges; must be finite and > 0.
     **extra :
@@ -400,6 +408,7 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     PositivityResult
     """
     _check_tolerance("param_tol", param_tol)
+    _check_count("steps", steps)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     fam = FAMILIES[family]
@@ -500,14 +509,15 @@ def continuum_convergence(ms, levels=2):
     ms : sequence of int
         Half-size parameters, each >= levels.
     levels : int
-        Number of low levels to tabulate.
+        Number of low levels to tabulate, >= 1.
 
     Returns
     -------
     ContinuumTable
     """
+    _check_count("levels", levels)
     ms = [int(m) for m in ms]
-    if any(m < max(1, levels) for m in ms):
+    if any(m < levels for m in ms):
         raise ValueError("each M must be at least the number of levels")
     k = np.arange(1, levels + 1)
     energies = np.empty((len(ms), levels))
@@ -553,9 +563,10 @@ def endpoint_locus(n, samples=20, t=None):
     n : int
         Chain length, an integer >= 2.
     samples : int
-        Number of points per branch when ``t`` is not given.
+        Number of points per branch when ``t`` is not given, >= 1.
     t : array_like, optional
-        Explicit parameter values in [0, 1] to sample both branches at.
+        Explicit parameter values in [0, 1] to sample both branches at;
+        at least one.
 
     Returns
     -------
@@ -563,8 +574,11 @@ def endpoint_locus(n, samples=20, t=None):
     """
     check_size(n)
     if t is None:
+        _check_count("samples", samples)
         t = np.linspace(0.0, 1.0, samples)
     t = np.asarray(t, dtype=float)
+    if t.size == 0:
+        raise ValueError("t must hold at least one value")
     if np.any((t < 0.0) | (t > 1.0)):
         raise ValueError("parameter values must lie in [0, 1]")
 

@@ -170,7 +170,6 @@ def _cmd_wavefn(args):
             "index": args.index,
             "y": _c2(wf.y),
             "energy": _c2(wf.energy),
-            "branch": wf.branch,
             "residual": wf.residual,
             "components": [_c2(c) for c in wf.components],
         }, args.out)

@@ -242,8 +242,9 @@ class MetricFamily:
 
         Defaults fill in what ``given`` leaves out.  Raises ValueError for
         a size below 2 or other than the fixed one, a missing required
-        parameter, or a parameter the family does not take.  Parameter
-        names in the message are prefixed with ``flag``.
+        parameter, a parameter the family does not take, or one that is
+        not finite.  Parameter names in the message are prefixed with
+        ``flag``.
         """
         check_size(n)
         for name, default in self.params:
@@ -254,6 +255,9 @@ class MetricFamily:
             if name not in defaults:
                 raise ValueError(
                     f"family {self.name!r} takes no {flag}{name}")
+            if not np.isfinite(given[name]):
+                raise ValueError(
+                    f"{flag}{name} must be finite, got {given[name]}")
         if self.size is not None and n != self.size:
             raise ValueError(
                 f"family {self.name!r} has fixed size {self.size}")

@@ -50,6 +50,9 @@ do not depend on which other couplings share its batch.  A value that is
 not finite never counts as converged; a solve that does not converge
 within ``max_iter`` steps of a stage raises ``NoConvergence``, and so
 does a solve that would return a root that is not finite.
+
+Each eigenvector (``wavefunction``) comes from one twisted factorization
+of H - E, O(n) per root, with no division by y and no branch on it.
 """
 
 import warnings
@@ -83,10 +86,8 @@ _BLOCK_ROWS = 250
 # (1.3e-8 at n = 21, z = -2.3211).
 _BOUND_SPLIT = np.log(1e3)
 
-# Below this |y| the eigenvector formula switches to its y -> 0 limit;
-# the generic form divides by y and loses all accuracy well before the
-# limit point is reached.
-Y_ZERO_TOL = 1e-8
+# An exact zero pivot of the twisted factorization becomes this value.
+_TINY = float(np.finfo(float).tiny)
 
 
 def secular_polynomial(params):
@@ -447,52 +448,54 @@ def _secular_roots(n, zs, tol, max_iter):
     rows of the batch.  ``tol`` is the relative step of the outer
     iteration and ``max_iter`` the iteration budget of each stage.  A
     batch with a root that is not finite (|z| near the square root of the
-    largest float, or a nan coupling) raises ``NoConvergence``.
+    largest float, or a nan coupling) raises ``NoConvergence``; the
+    overflow on the way there raises no numpy warning.
     """
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    a, w = zs.real.copy(), zs.imag.copy()
-    if n == 2:
-        # P = 4 y^2 - 4 a y + |z|^2 - 1, with discriminant 16 (1 - w^2).
-        root = np.sqrt(((1.0 - np.abs(w)) * (1.0 + np.abs(w))) + 0j)
-        return _finite(_lexsorted_rows(
-            np.stack([0.5 * (a - root), 0.5 * (a + root)], axis=1)))
-    b = a * a + w * w
-    roots = np.full((zs.size, n), np.inf, dtype=complex)
-    unit = b == 1.0
-    roots[unit, :n - 1] = np.cos(np.pi * np.arange(1, n) / n)
-    roots[unit, n - 1] = a[unit]
-    rows = np.flatnonzero(~unit)
-    m2 = (1.0 - a[rows]) ** 2 + w[rows] ** 2
-    p2 = (1.0 + a[rows]) ** 2 + w[rows] ** 2
-    y, row = _band_roots(n, a[rows], b[rows], m2, p2, max_iter)
-    count = np.bincount(row, minlength=rows.size)
-    if np.any(count > n):
-        raise NoConvergence("more band crossings than roots",
-                            best=roots)
-    slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
-    roots[rows[row], slot] = y
-    outer = rows[count < n]
-    left = n - count[count < n]
-    if np.any(left > 2):
-        raise NoConvergence("more than two roots left off the band",
-                            best=roots)
-    if outer.size:
-        ao = a[outer]
-        bound = (w[outer] == 0.0) & (left == 2) & (
-            n * np.log(np.maximum(np.abs(ao), 1.0)) > _BOUND_SPLIT)
-        if bound.any():
-            roots[outer[bound], n - 2:] = _real_bound_pair(n, ao[bound],
-                                                           max_iter)
-        rest = outer[~bound]
-        if rest.size:
-            got = _outer_roots(n, a[rest], b[rest], roots[rest].real, tol,
-                               max_iter)
-            for c in (0, 1):
-                sel = np.isfinite(got[:, c])
-                roots[rest[sel], n - left[~bound][sel] + c] = got[sel, c]
-        real_z = w[outer] == 0.0
-        roots[outer[real_z]] = roots[outer[real_z]].real
-    return _finite(_lexsorted_rows(roots))
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = np.asarray(zs, dtype=complex).reshape(-1)
+        a, w = zs.real.copy(), zs.imag.copy()
+        if n == 2:
+            # P = 4 y^2 - 4 a y + |z|^2 - 1, with discriminant 16 (1 - w^2).
+            root = np.sqrt(((1.0 - np.abs(w)) * (1.0 + np.abs(w))) + 0j)
+            return _finite(_lexsorted_rows(
+                np.stack([0.5 * (a - root), 0.5 * (a + root)], axis=1)))
+        b = a * a + w * w
+        roots = np.full((zs.size, n), np.inf, dtype=complex)
+        unit = b == 1.0
+        roots[unit, :n - 1] = np.cos(np.pi * np.arange(1, n) / n)
+        roots[unit, n - 1] = a[unit]
+        rows = np.flatnonzero(~unit)
+        m2 = (1.0 - a[rows]) ** 2 + w[rows] ** 2
+        p2 = (1.0 + a[rows]) ** 2 + w[rows] ** 2
+        y, row = _band_roots(n, a[rows], b[rows], m2, p2, max_iter)
+        count = np.bincount(row, minlength=rows.size)
+        if np.any(count > n):
+            raise NoConvergence("more band crossings than roots",
+                                best=roots)
+        slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
+        roots[rows[row], slot] = y
+        outer = rows[count < n]
+        left = n - count[count < n]
+        if np.any(left > 2):
+            raise NoConvergence("more than two roots left off the band",
+                                best=roots)
+        if outer.size:
+            ao = a[outer]
+            bound = (w[outer] == 0.0) & (left == 2) & (
+                n * np.log(np.maximum(np.abs(ao), 1.0)) > _BOUND_SPLIT)
+            if bound.any():
+                roots[outer[bound], n - 2:] = _real_bound_pair(n, ao[bound],
+                                                               max_iter)
+            rest = outer[~bound]
+            if rest.size:
+                got = _outer_roots(n, a[rest], b[rest], roots[rest].real, tol,
+                                   max_iter)
+                for c in (0, 1):
+                    sel = np.isfinite(got[:, c])
+                    roots[rest[sel], n - left[~bound][sel] + c] = got[sel, c]
+            real_z = w[outer] == 0.0
+            roots[outer[real_z]] = roots[outer[real_z]].real
+        return _finite(_lexsorted_rows(roots))
 
 
 def _finite(roots):
@@ -548,9 +551,9 @@ class Wavefunction:
     energy : complex
         Eigenvalue in the requested convention.
     components : numpy.ndarray
-        Site amplitudes phi_1 .. phi_n with phi_1 = 1.
-    branch : str
-        "generic" or "y_zero" (the explicit y -> 0 limit form).
+        Site amplitudes phi_1 .. phi_n with phi_1 = 1 exactly, or with
+        max |phi_m| = 1 for a mode bound at site n whose phi_1 is below
+        2^-500 of its largest amplitude.
     residual : float
         ||(H - E) phi||_2 / ||phi||_2.
     """
@@ -558,42 +561,38 @@ class Wavefunction:
     y: complex
     energy: complex
     components: np.ndarray
-    branch: str
     residual: float
 
 
-def _boundary_recurrence(n, y, seed, rescale_limit=1e150):
-    """Solve phi_{m+1} = 2 y phi_m - phi_{m-1} from (1, seed) forward.
-
-    Rescales on the fly when entries threaten to overflow; the caller
-    normalizes, so only the direction of the solution matters.
-    """
-    phi = np.empty(n, dtype=complex)
-    phi[0] = 1.0
-    if n > 1:
-        phi[1] = seed
-    for m in range(2, n):
-        phi[m] = 2.0 * y * phi[m - 1] - phi[m - 2]
-        if abs(phi[m]) > rescale_limit:
-            phi[:m + 1] *= 2.0 ** -512
-    return phi
+def _pivots(d):
+    """Pivots D_i = d_i - 1 / D_(i-1) of tridiag(-1, d, -1), row 1 down."""
+    piv = np.inf
+    out = []
+    for di in d:
+        piv = (di - 1.0 / piv) or _TINY
+        out.append(piv)
+    return np.array(out)
 
 
 def wavefunction(params, y):
     """Eigenvector at the secular root y.
 
-    The generic site amplitude is the closed form
-    phi_m = (z / y) T_{m-1}(y) + (1 - z / y) U_{m-1}(y), normalized to
-    phi_1 = 1; for |y| below ``Y_ZERO_TOL`` the explicit limit
-    phi = (1, -z, -1, z, 1, ...) is used instead, since the generic form
-    divides by y.
+    The site amplitudes are the closed form
+    phi_m = (z / y) T_(m-1)(y) + (1 - z / y) U_(m-1)(y), normalized to
+    phi_1 = 1.  They are computed from the twisted factorization of
+    H - E = tridiag(-1, d, -1) (Fernando, SIAM J. Matrix Anal. Appl. 18,
+    1997; Parlett & Dhillon, Linear Algebra Appl. 267, 1997), in O(n)
+    and with no division by y.  With the pivots D+ of the elimination
+    from the top and D- from the bottom, gamma_i = D+_i + D-_i - d_i is
+    the defect of the vector twisted at site i, (H - E) phi = gamma_i e_i.
+    The twist r minimizes |gamma_r|; phi_r = 1, and the recurrence runs
+    away from r on both sides: phi_i = phi_(i+1) / D+_i for i < r and
+    phi_i = phi_(i-1) / D-_i for i > r.  An exact zero pivot becomes the
+    smallest normal float, the standard remedy.
 
-    Numerically the amplitudes are generated by the second-order site
-    recurrence, run from whichever end keeps it stable.  Strong couplings
-    bind modes to an endpoint; along the decaying direction the
-    recurrence is dominated by its growing solution and loses the mode,
-    so both directions are built and the one with the smaller boundary
-    defect is kept.
+    The vector is scaled to phi_1 = 1 exactly, unless phi_1 is below
+    2^-500 of the largest amplitude (a mode bound at site n with |z|^n
+    beyond about 1e150); then it is scaled to max |phi_m| = 1.
 
     Parameters
     ----------
@@ -607,37 +606,28 @@ def wavefunction(params, y):
     -------
     Wavefunction
     """
-    z = params.z
-    n = params.n
     y = complex(y)
     energy = complex(energy_from_y(y, params.convention))
     h = build_hamiltonian(params)
-
-    if abs(y) < Y_ZERO_TOL:
-        comps = np.empty(n, dtype=complex)
-        comps[0::4] = 1.0
-        comps[1::4] = -z
-        comps[2::4] = -1.0
-        comps[3::4] = z
-        res = eigen_residual(h, energy, comps)
-        branch = "y_zero"
+    d = h.diagonal() - energy
+    down = _pivots(d.tolist())
+    up = _pivots(d[::-1].tolist())[::-1]
+    r = int(np.argmin(np.abs(down + up - d)))
+    phi = np.ones(params.n, dtype=complex)
+    phi[:r] = np.cumprod(1.0 / down[:r][::-1])[::-1]
+    phi[r + 1:] = np.cumprod(1.0 / up[r + 1:])
+    big = np.max(np.abs(phi))
+    if big < 2.0 ** 500 * abs(phi[0]):
+        phi /= phi[0]
+        phi[0] = 1.0
     else:
-        forward = _boundary_recurrence(n, y, 2.0 * y - z)
-        backward = _boundary_recurrence(n, y, 2.0 * y - np.conj(z))[::-1]
-        backward = backward / backward[0]
-        comps = forward
-        res = eigen_residual(h, energy, forward)
-        res_b = eigen_residual(h, energy, backward)
-        if res_b < res:
-            comps, res = backward, res_b
-        branch = "generic"
-
+        phi /= big
+    res = eigen_residual(h, energy, phi)
     if res > 1e-8:
         warnings.warn(
             f"y = {y} is not an eigenvalue (relative residual {res:.3e})",
             stacklevel=2)
-    return Wavefunction(y=y, energy=energy, components=comps,
-                        branch=branch, residual=res)
+    return Wavefunction(y=y, energy=energy, components=phi, residual=res)
 
 
 def eigen_residual(h, energy, phi):

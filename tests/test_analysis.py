@@ -79,6 +79,11 @@ def test_sweeps_and_loci_reject_sizes_below_two_sites(n):
             call()
 
 
+def test_positivity_sweep_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        metric_positivity_sweep("band", 8, -1.0, 1.0, 0)
+
+
 def test_sweeps_reject_non_finite_grids():
     with pytest.raises(ValueError, match="finite"):
         sweep_xi(2, np.nan, 0.0, 1.0, 3)
@@ -301,3 +306,5 @@ def test_endpoint_locus_geometry():
     assert loc.y_minus.xi[-1] == pytest.approx(0.0, abs=1e-8)
     with pytest.raises(ValueError):
         endpoint_locus(5, t=np.array([-0.1]))
+    with pytest.raises(ValueError, match="t must hold at least one value"):
+        endpoint_locus(5, t=[])

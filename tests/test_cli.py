@@ -294,6 +294,45 @@ def test_non_finite_values_are_never_printed(capsys, argv, code):
     assert got == code and out == "" and err.startswith("error: ")
 
 
+def test_overflowing_coupling_prints_one_error_line():
+    # A fresh interpreter, so numpy's warnings would reach stderr.
+    proc = _run_process("spectrum", "--n", "8", "--omega", "1e154",
+                        "--rho", "1e154")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: a root is not finite "
+                           "(overflow, inf or nan)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--n", "4", "--axis", "xi", "--zeta", "0.3", "--min", "0",
+     "--max", "1", "--steps", "0"),
+    ("sweep", "--n", "4", "--axis", "zeta", "--xi", "0.3", "--min", "0",
+     "--max", "0.5", "--steps", "-1"),
+    ("locus", "--n", "4", "--samples", "0"),
+    ("locus", "--n", "4", "--samples", "-2"),
+    ("continuum", "--m", "10,20", "--levels", "0"),
+    ("continuum", "--m", "10,20", "--levels", "-1"),
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_empty_grids_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {argv[-2][2:]} must be >= 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("command", ["metric", "verify"])
+@pytest.mark.parametrize("family, flag, value", [
+    (("--family", "band"), "--omega", "nan"),
+    (("--family", "band"), "--omega", "inf"),
+    (("--family", "n3_general", "--xi", "0.3"), "--r", "nan"),
+])
+def test_metric_family_parameters_must_be_finite(command, family, flag,
+                                                 value):
+    # A fresh interpreter, so numpy's warnings would reach stderr.
+    proc = _run_process(command, "--n", "3", *family, flag, value)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {flag} must be finite, got {value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep", "--n", "0", "--axis", "xi", "--min", "0", "--max", "1",
      "--steps", "3", "--zeta", "0.3"),

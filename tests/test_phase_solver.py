@@ -6,6 +6,8 @@ residuals: ||(H - E) phi|| / ||phi|| >= sigma_min(H - E), so a small
 residual certifies that E is an eigenvalue to that accuracy.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -86,6 +88,50 @@ def test_roots_match_dense_eigenvalues(n, modulus, phase):
     assert np.count_nonzero(~real) in (0, 2)
     if abs(z) < 1.0 or z.imag == 0.0:
         assert np.all(y.imag == 0.0)
+
+
+def _assert_eigenvectors_at_round_off(p, roots):
+    # ||(H - E) phi|| / ||phi|| at round-off of ||H||_inf = 4 + |z|, finite
+    # and with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for root in roots:
+            wf = wavefunction(p, root)
+            assert np.all(np.isfinite(wf.components))
+            assert wf.residual <= 1e-13 * (4.0 + abs(p.z))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(2, 64),
+       modulus=st.one_of(_LOG_MODULUS.map(lambda e: 10.0 ** e), _NEAR_ONE),
+       phase=st.one_of(st.floats(0.0, 2.0 * np.pi),
+                       st.sampled_from([0.0, np.pi])))
+@example(n=6, modulus=1.0, phase=1.1)
+@example(n=8, modulus=0.0, phase=0.0)
+def test_eigenvectors_at_dense_eigenvalues_are_at_round_off(n, modulus,
+                                                            phase):
+    # eigvals is backward stable: each eigenvalue is exact for some H + dH
+    # with ||dH|| of order eps ||H||, so sigma_min(H - E) is at round-off
+    # there, next to exceptional points too, and so must the residual be.
+    # (The secular roots themselves can be farther off where the bound
+    # pair is nearly degenerate at non-real z; see ROADMAP item 3.)
+    z = modulus * complex(np.cos(phase), np.sin(phase))
+    if phase in (0.0, np.pi):
+        z = complex(z.real, 0.0)
+    p = _params(n, z)
+    _assert_eigenvectors_at_round_off(p, _dense_y(n, p.z))
+
+
+@pytest.mark.parametrize("n, z", [
+    (12, 0.5891195440021485 - 0.8080459532575693j),
+    (142, 0.8415532780612139 - 0.5401731706268285j),
+    (120, -0.7119653413685794 - 0.7022157877024077j)])
+def test_eigenvectors_at_the_former_recurrence_failures(n, z):
+    # The secular roots are within 1e-14 of eigvals here, but the two-ended
+    # recurrence missed them by 3.0e-8, 8.6e-8 and 1.5e-7 (the last at
+    # y = -9.7e-9, next to its y -> 0 limit form).
+    p = _params(n, z)
+    _assert_eigenvectors_at_round_off(p, solve_spectrum(p).y_roots)
 
 
 def test_two_sites_and_the_dirichlet_wall():

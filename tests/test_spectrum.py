@@ -181,19 +181,31 @@ def test_wavefunction_warns_off_spectrum():
 
 
 def test_wavefunction_zero_energy_branch():
-    # Even n on the |z| = 1 circle puts a root exactly at y = 0; the
-    # explicit limit branch must kick in and alternate (1, -z, -1, z).
+    # Even n on the |z| = 1 circle puts a root exactly at y = 0, where the
+    # closed form divides by y; the twisted factorization goes through and
+    # gives the limit (1, -z, -1, z, ...).
     t = 1.1
     p = ModelParams(n=6, xi=np.sin(t), zeta=1.0 - np.cos(t))
     wf = wavefunction(p, 0.0)
-    assert wf.branch == "y_zero"
     assert wf.residual < 1e-12
     z = p.z
     expect = np.array([1.0, -z, -1.0, z, 1.0, -z])
     assert np.allclose(wf.components, expect, atol=0)
-    # generic branch labels stay generic
-    p2 = ModelParams(n=4, xi=0.0, zeta=0.0)
-    assert wavefunction(p2, 1.0).branch == "generic"
+
+
+def test_wavefunction_normalization_contract():
+    # phi_1 = 1 exactly, except for the mode bound at site n of a strong
+    # non-real coupling: its phi_1 ~ |z|^-(n - 1) = 2e-189 is below 2^-500
+    # of its largest amplitude, so it is scaled to max |phi| = 1.
+    p = ModelParams(n=64, omega=300.0, rho=950.0)
+    scaled = []
+    for wf in solve_spectrum(p, with_wavefunctions=True).wavefunctions:
+        assert wf.residual <= 1e-13 * (4.0 + abs(p.z))
+        if wf.components[0] != 1.0:
+            scaled.append(wf.components)
+    assert len(scaled) == 1
+    assert np.max(np.abs(scaled[0])) == pytest.approx(1.0, rel=1e-15)
+    assert abs(scaled[0][0]) < 2.0 ** -500
 
 
 def test_eigen_residual_validates_shapes():
