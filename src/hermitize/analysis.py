@@ -37,7 +37,9 @@ def _zs_from_grid(xi, zeta):
     zeta = np.asarray(zeta, dtype=float)
     if not (np.isfinite(xi).all() and np.isfinite(zeta).all()):
         raise ValueError("xi and zeta must be finite")
-    denom = (1.0 - zeta) * (1.0 - zeta) + xi * xi
+    # An overflowing denominator gives z = 0, as in the single-point map.
+    with np.errstate(over="ignore"):
+        denom = (1.0 - zeta) * (1.0 - zeta) + xi * xi
     if np.any(denom == 0.0):
         raise SingularParameters(
             "grid hits the pole (xi, zeta) = (0, 1); split the range so "
@@ -149,7 +151,7 @@ class SweepResult:
 
 
 def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
-             tol=1e-12, max_iter=500):
+             max_iter=500):
     """Spectra along a xi grid at fixed zeta.
 
     Parameters
@@ -163,10 +165,9 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     steps : int
         Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
-    tol, max_iter :
-        Root solver controls, as in ``spectrum.solve_spectrum``: the
-        relative step of the roots off the band and the iteration budget
-        of each stage.
+    max_iter : int
+        Iteration budget of each stage of the root solve, as in
+        ``spectrum.solve_spectrum``.
 
     Returns
     -------
@@ -177,7 +178,7 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     _check_count("steps", steps)
     values = np.linspace(xi_min, xi_max, steps)
     zs = _zs_from_grid(values, zeta)
-    roots = _solve_batch(n, zs, tol=tol, max_iter=max_iter)
+    roots = _solve_batch(n, zs, max_iter=max_iter)
     return SweepResult(
         axis="xi", values=values, fixed={"zeta": zeta}, n=n,
         convention=convention, y_roots=roots,
@@ -186,7 +187,7 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
 
 
 def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
-               tol=1e-12, max_iter=500):
+               max_iter=500):
     """Spectra along a zeta grid at fixed xi.
 
     Raises ``SingularParameters`` when xi = 0 and the grid touches the
@@ -202,8 +203,8 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     steps : int
         Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
-    tol, max_iter :
-        Root solver controls, as in ``sweep_xi``.
+    max_iter : int
+        Iteration budget of the root solve, as in ``sweep_xi``.
 
     Returns
     -------
@@ -214,7 +215,7 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     _check_count("steps", steps)
     values = np.linspace(zeta_min, zeta_max, steps)
     zs = _zs_from_grid(xi, values)
-    roots = _solve_batch(n, zs, tol=tol, max_iter=max_iter)
+    roots = _solve_batch(n, zs, max_iter=max_iter)
     return SweepResult(
         axis="zeta", values=values, fixed={"xi": xi}, n=n,
         convention=convention, y_roots=roots,
@@ -274,7 +275,7 @@ def _bisect(holds, a, b, tol):
 
 
 def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
-                  bracket=(0.0, 0.75), tol=1e-12):
+                  bracket=(0.0, 0.75)):
     """Locate the largest zeta with an everywhere-real spectrum.
 
     For fixed zeta the spectrum is scanned over a xi grid; the critical
@@ -309,11 +310,6 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
         its ends are adjacent floats; must be finite and > 0.
     bracket : (float, float)
         Initial bracket; the predicate must hold at the lower end.
-    tol : float
-        Relative step below which the secular solve accepts a root off
-        the band (see ``spectrum.solve_spectrum``).  Band roots are solved
-        to their round-off floor whatever its value, so the reality
-        predicate, and with it the result, rarely depends on it.
 
     Returns
     -------
@@ -329,7 +325,7 @@ def critical_zeta(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
     def all_real(zeta):
         # |z| <= 1 is real by the theorem; a nan coupling stays open.
         open_xi = xi_grid[~((1.0 - zeta) ** 2 + xi_grid ** 2 >= 1.0)]
-        blocks = _solve_blocks(n, _zs_from_grid(open_xi, zeta), tol=tol)
+        blocks = _solve_blocks(n, _zs_from_grid(open_xi, zeta))
         return all(np.all(reality_flags(roots)) for roots in blocks)
 
     lo, hi = bracket

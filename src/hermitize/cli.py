@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 iteration failure
 
 import argparse
 import json
+import re
 import sys
 
 from .analysis import (continuum_convergence, critical_zeta, endpoint_locus,
@@ -33,6 +34,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-3" as a flag, not a negative number: its
+        # pattern has no exponent (Python 3.10-3.12), and repr of a small
+        # float has one.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with status 2 on bad flags; route through the
     # package-wide convention (1) instead.
     def error(self, message):
@@ -90,11 +99,6 @@ def _add_convention_flag(sub):
                      default="lattice", help="energy convention")
 
 
-def _add_tol_flag(sub):
-    sub.add_argument("--tol", type=float, default=1e-12,
-                     help="root solver tolerance")
-
-
 def _add_output_flags(sub, fmt_default="csv"):
     sub.add_argument("--out", default=None, help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"),
@@ -132,7 +136,7 @@ def _axis_value(params):
 def _cmd_spectrum(args):
     params = ModelParams(n=args.n, convention=args.convention,
                          **_coupling_kwargs(args))
-    spec = solve_spectrum(params, tol=args.tol)
+    spec = solve_spectrum(params)
     if args.format == "csv":
         axis = _g(_axis_value(params))
         rows = [(axis, str(i), _g(e.real), _g(e.imag),
@@ -156,7 +160,7 @@ def _cmd_wavefn(args):
                          **_coupling_kwargs(args))
     if not 0 <= args.index < params.n:
         raise _UsageError(f"--index must be in [0, {params.n - 1}]")
-    spec = solve_spectrum(params, tol=args.tol)
+    spec = solve_spectrum(params)
     wf = wavefunction(params, spec.y_roots[args.index])
     if args.format == "csv":
         rows = [(str(m + 1), _g(c.real), _g(c.imag))
@@ -208,7 +212,7 @@ def _cmd_verify(args):
     params = ModelParams(n=args.n, **{family.swept: theta.params[family.swept],
                                       family.held: 0.0})
     report = verify_metric(params, theta)
-    spec = solve_spectrum(params, tol=args.tol, with_wavefunctions=True)
+    spec = solve_spectrum(params, with_wavefunctions=True)
     max_res = max(w.residual for w in spec.wavefunctions)
     payload = {
         "n": report.n,
@@ -267,14 +271,14 @@ def _cmd_sweep(args):
         if args.xi is not None:
             raise _UsageError("--xi conflicts with --axis xi")
         result = sweep_xi(args.n, args.zeta, args.min, args.max, args.steps,
-                          convention=args.convention, tol=args.tol)
+                          convention=args.convention)
     else:
         if args.xi is None:
             raise _UsageError("sweep over zeta needs a fixed --xi")
         if args.zeta is not None:
             raise _UsageError("--zeta conflicts with --axis zeta")
         result = sweep_zeta(args.n, args.xi, args.min, args.max, args.steps,
-                            convention=args.convention, tol=args.tol)
+                            convention=args.convention)
     if args.format == "csv":
         rows = []
         for value, energies, flags in zip(result.values, result.energies,
@@ -299,8 +303,7 @@ def _cmd_sweep(args):
 
 def _cmd_critical(args):
     result = critical_zeta(args.n, xi_max=args.xi_max,
-                           xi_steps=args.xi_steps, zeta_tol=args.zeta_tol,
-                           tol=args.tol)
+                           xi_steps=args.xi_steps, zeta_tol=args.zeta_tol)
     if args.format == "csv":
         rows = [(str(result.n), _g(result.value), _g(result.bracket[0]),
                  _g(result.bracket[1]), _g(result.xi_max),
@@ -380,7 +383,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     _add_coupling_flags(p)
     _add_convention_flag(p)
-    _add_tol_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -390,7 +392,6 @@ def _build_parser():
                    help="root index in sorted order")
     _add_coupling_flags(p)
     _add_convention_flag(p)
-    _add_tol_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_wavefn)
 
@@ -402,7 +403,6 @@ def _build_parser():
     p = subs.add_parser("verify",
                         help="check a metric family against its Hamiltonian")
     _add_family_flags(p)
-    _add_tol_flag(p)
     _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_verify)
 
@@ -425,7 +425,6 @@ def _build_parser():
     p.add_argument("--zeta", type=float, default=None,
                    help="fixed zeta for --axis xi")
     _add_convention_flag(p)
-    _add_tol_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -435,7 +434,6 @@ def _build_parser():
     p.add_argument("--xi-max", type=float, default=10.0)
     p.add_argument("--xi-steps", type=int, default=2000)
     p.add_argument("--zeta-tol", type=float, default=1e-5)
-    _add_tol_flag(p)
     _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_critical)
 

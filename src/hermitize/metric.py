@@ -146,6 +146,22 @@ def _band_values(n, omega, seed):
     return band
 
 
+def _robin_ratios(xi):
+    """1/q, xi/q, xi^2/q and (1 - xi^2)/q with q = 1 + xi^2, each to
+    full relative accuracy and without overflow.
+
+    The fixed-size families are rational in xi with these bounded
+    building blocks, so their entries stay finite for every finite xi and
+    tend to their limits as |xi| grows.
+    """
+    if abs(xi) <= 1.0:
+        q = 1.0 + xi * xi
+        return 1.0 / q, xi / q, xi * xi / q, (1.0 - xi) * (1.0 + xi) / q
+    w = 1.0 / xi
+    q = 1.0 + w * w
+    return w * w / q, w / q, 1.0 / q, (w - 1.0) * (w + 1.0) / q
+
+
 def metric_n3_general(xi, r=1.0, s=1.0, u=0.0):
     """Three-parameter metric family of the three-site well.
 
@@ -164,11 +180,10 @@ def metric_n3_general(xi, r=1.0, s=1.0, u=0.0):
     -------
     MetricMatrix
     """
-    q = 1.0 + xi * xi
-    u2 = -r * xi / q
-    z1 = (s - r + u + 2 * s * xi ** 2 - 3 * r * xi ** 2
-          - r * xi ** 4 + s * xi ** 4 + u * xi ** 2) / q ** 2
-    z2 = -(u * xi ** 2 + r + u) * xi / q ** 2
+    c, v, _, _ = _robin_ratios(xi)
+    u2 = -r * v
+    z1 = r * c * c + (u - r) * c + (s - r)
+    z2 = -v * (u + r * c)
     theta = np.array([
         [r, u + 1j * u2, z1 + 1j * z2],
         [u - 1j * u2, s, u + 1j * u2],
@@ -197,12 +212,12 @@ def metric_n4_special(xi):
     -------
     MetricMatrix
     """
-    q = 1.0 + xi * xi
+    c, v, p, d = _robin_ratios(xi)
     band = np.array([
         1.0,
-        -1j * xi / q,
-        (-xi ** 2 - 1j * xi) / q ** 2,
-        (-2 * xi ** 2 - 1j * (1 - xi ** 2) * xi) / q ** 3,
+        -1j * v,
+        -p * c - 1j * v * c,
+        -2.0 * p * c * c - 1j * v * d * c,
     ])
     return MetricMatrix(n=4, family="n4_special", params={"xi": xi},
                         matrix=_fill_band(4, band))

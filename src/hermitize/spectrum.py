@@ -36,20 +36,22 @@ bisection when a step would leave the bracket or fails to halve the one
 before), vectorized over all couplings and levels and stopped at the
 round-off bound of psi.  That is O(n) work per
 coupling, with no polynomial evaluation and nothing that can overflow.
-At most two roots are left off the band.  They start from the trace
-identities sum y = a and sum y^2 = a^2 - (b - n + 1)/2 minus the band
-roots, and are polished by an Aberth step in y against the band roots,
-with P'/P taken from t (|t| <= 1), or from the three-term recurrence
-where t is near +/-1.  A conjugate pair is solved as one point and
-returned as exact conjugates; a lone root and a non-conjugate pair are
-real.  For real z every root is real: H is real symmetric and commutes
-with the reversal, and a nearly degenerate bound pair is solved on the
-two factors t^n (t - z) -/+ (1 - z t) of the t-equation.  Every step is
-elementwise or a reduction along one coupling's row, so a coupling's roots
-do not depend on which other couplings share its batch.  A value that is
-not finite never counts as converged; a solve that does not converge
-within ``max_iter`` steps of a stage raises ``NoConvergence``, and so
-does a solve that would return a root that is not finite.
+At most two roots are left off the band, y = m -/+ sqrt(D) with m and D
+real.  They start from the trace identities sum y = a and
+sum y^2 = a^2 - (b - n + 1)/2 minus the band roots, and every step fits
+the quadratic factor (y - m)^2 - D of P anew from P'/P at the two roots,
+deflated by the band roots (Bairstow's idea of solving a real pair as
+one quadratic).  P'/P comes in O(1) from t (|t| <= 1), with the factor
+r(t) kept in factored form, so a nearly degenerate bound pair, real or
+not, and a pair next to an exceptional point are resolved to the
+round-off of P; D changes sign where a pair turns from real to complex.
+A conjugate pair is returned as exact conjugates, and a real z gets real
+roots (H is real symmetric).  Every step is elementwise or a reduction
+along one coupling's row, so a coupling's roots do not depend on which
+other couplings share its batch.  A value that is not finite never
+counts as converged; a solve that does not converge within ``max_iter``
+steps of a stage raises ``NoConvergence``, and so does a solve that would
+return a root that is not finite.
 
 Each eigenvector (``wavefunction``) comes from one twisted factorization
 of H - E, O(n) per root, with no division by y and no branch on it.
@@ -67,8 +69,9 @@ from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
 _EPS = np.finfo(float).eps
 
 # A root counts as real when its imaginary part is below this scale factor
-# times max(1, |y|); the solver converges to ~1e-12 relative error, so the
-# margin is three orders of magnitude.
+# times max(1, |y|).  The solver's roots are at round-off, ~1e-15
+# relative, except for a pair within about 1e-8 of an exceptional point,
+# where no solver resolves it better than the square root of round-off.
 REALITY_TOL = 1e-9
 
 # The batched solve works through its couplings in blocks of this many
@@ -78,13 +81,6 @@ REALITY_TOL = 1e-9
 # and its peak traced memory grew from 3.5 MB (250 rows) to 21 MB (one
 # block).
 _BLOCK_ROWS = 250
-
-# A real coupling z = a with |a|^n above e^_BOUND_SPLIT takes its two
-# outer roots from the factored equations of ``_real_bound_pair``.  There
-# the two bound roots are nearly degenerate (their splitting falls like
-# |a|^-n), and the Aberth step on P resolves them only to its noise floor
-# (1.3e-8 at n = 21, z = -2.3211).
-_BOUND_SPLIT = np.log(1e3)
 
 # An exact zero pivot of the twisted factorization becomes this value.
 _TINY = float(np.finfo(float).tiny)
@@ -278,162 +274,163 @@ def _band_roots(n, a, b, m2, p2, max_iter):
     return np.cos(out), row
 
 
-def _log_derivative(n, a, b, y):
-    """P'/P of the secular polynomial at the points y, and a flag that
-    |P| is at its round-off floor there.
+def _log_derivative(n, z, y):
+    """P'/P of the secular polynomial at the points y, and a flag that P
+    is at its round-off floor there.
 
-    With t = 1 / (y + sqrt(y - 1) sqrt(y + 1)), so |t| <= 1 and
-    y = (t + 1/t) / 2, (t - 1/t) P(y) = t^-(n+1) G(t), where
-    G(t) = t^(2n) q(t) - r(t), q(t) = t^2 - 2 a t + b and
-    r(t) = 1 - 2 a t + b t^2.  Nothing in G can overflow.  The substitution
-    degenerates at t = +/-1 (y = +/-1), so where |1 - t^2| < 1/4 the
-    three-term recurrence of U_k(y) is used instead; there |U_k| grows at
-    most like (k + 1) 1.155^k, and the floor is the recurrence's running
-    rounding bound.
+    With t = e^L = 1 / (y + sqrt(y - 1) sqrt(y + 1)), so |t| <= 1 and
+    y = (t + 1/t) / 2, U_k(y) = t^-k (1 - t^(2k+2)) / (1 - t^2) gives
+
+        P(y) = t^-n N,  N = r(t) Q(t) + (1 - |z|^2) t^(2n),
+
+    with r = (1 - z t)(1 - zb t) and Q = sum_(k<n) t^(2k) =
+    expm1(2 n L) / expm1(2 L).  The factor 1 / (1 - t^2) that degenerates
+    at t = +/-1 has cancelled, nothing overflows, and r in factored form
+    keeps its relative accuracy next to its zeros t = 1/z, 1/zb, where
+    the bound pair sits.  With ' = d/dL and sinh L = -sqrt(y - 1)
+    sqrt(y + 1), P'/P = (N'/N - n) / sinh L.  For Re y < 0 the value is
+    taken at -y with -z (P(y) = (-1)^n P_(-z)(-y)), so t stays near +1,
+    and at y = 1 exactly (L = 0) from U_k(1) = k + 1 and
+    U_k'(1) = k (k + 1) (k + 2) / 3.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = 1.0 / (y + np.sqrt(y - 1.0) * np.sqrt(y + 1.0))
-        t2 = t * t
-        edge = np.abs((1.0 - t) * (1.0 + t)) < 0.25
-        tn = t ** (2 * n)
-        q = t2 - 2.0 * a * t + b
-        r = 1.0 - 2.0 * a * t + b * t2
-        g = tn * q - r
-        t_dg = tn * (2.0 * n * q + t * (2.0 * t - 2.0 * a)) - t * (
-            2.0 * b * t - 2.0 * a)
-        dlog = 2.0 * t * (t_dg / g - (n + 1.0) - (t2 + 1.0) / (t2 - 1.0)) / (
-            t2 - 1.0)
-        at, abs_a = np.abs(t), np.abs(a)
-        noise = 4.0 * _EPS * (np.abs(tn) * (at * at + 2.0 * abs_a * at + b)
-                              + 1.0 + 2.0 * abs_a * at + b * at * at)
-        flat = np.isfinite(noise) & (np.abs(g) <= noise)
-    if edge.any():
-        ye, ae, be = y[edge], a[edge], b[edge]
-        u = [np.ones_like(ye), 2.0 * ye]
-        du = [0.0 * ye, 2.0 + 0.0 * ye]
-        for k in range(1, n):
-            u.append(2.0 * ye * u[k] - u[k - 1])
-            du.append(2.0 * u[k] + 2.0 * ye * du[k] - du[k - 1])
-        p = u[n] - 2.0 * ae * u[n - 1] + be * u[n - 2]
-        dp = du[n] - 2.0 * ae * du[n - 1] + be * du[n - 2]
-        # The rounding of step k reaches U_n through U_(n-1-k).
-        mag = np.abs(np.array(u))
-        spread = np.sum((2.0 * np.abs(ye) * mag[1:n] + mag[:n - 1])
-                        * mag[n - 2::-1], axis=0)
-        scale = 1.0 + 2.0 * np.abs(ae) + be
-        floor = 4.0 * _EPS * scale * (spread + mag[n - 2:].max(axis=0))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dlog[edge] = dp / p
-        flat[edge] = np.isfinite(floor) & (np.abs(p) <= floor)
-    return dlog, flat
+        flip = np.where(y.real < 0.0, -1.0, 1.0)
+        y, z = flip * y, flip * z
+        root = np.sqrt(y - 1.0) * np.sqrt(y + 1.0)
+        s = y + root
+        t = 1.0 / s
+        log_t = -np.log(s)
+        e2 = np.expm1(2.0 * log_t)
+        tn = np.exp(2.0 * n * log_t)
+        q = np.expm1(2.0 * n * log_t) / e2
+        dq = 2.0 * (n * tn - q * t * t) / e2
+        zb = np.conj(z)
+        u, v = 1.0 - z * t, 1.0 - zb * t
+        r = u * v
+        dr = -t * (z * v + zb * u)
+        mod = np.abs(z)
+        one_b = (1.0 - mod) * (1.0 + mod)
+        g = r * q + one_b * tn
+        dg = dr * q + r * dq + 2.0 * n * one_b * tn
+        dlog = flip * (dg / g - n) / -root
+        noise = 4.0 * _EPS * (np.abs(q) * (np.abs(r) + mod * np.abs(t) * (
+            np.abs(u) + np.abs(v))) + (2.0 + mod * mod) * np.abs(tn))
+        # y = +/-1: P(1) and P'(1) from U_k(1) and U_k'(1).
+        a, b = z.real, mod * mod
+        p1 = (n + 1.0) - 2.0 * a * n + b * (n - 1.0)
+        dp1 = n * ((n + 1.0) * (n + 2.0) - 2.0 * a * (n - 1.0) * (n + 1.0)
+                   + b * (n - 2.0) * (n - 1.0)) / 3.0
+        edge = root == 0.0
+        g = np.where(edge, p1, g)
+        dlog = np.where(edge, flip * dp1 / p1, dlog)
+        noise = np.where(edge, 4.0 * _EPS * (
+            n + 1.0 + 2.0 * np.abs(a) * n + b * (n - 1.0)), noise)
+    return dlog, np.isfinite(noise) & (np.abs(g) <= noise)
 
 
-def _outer_roots(n, a, b, band, tol, max_iter):
+def _newton_step(n, z, y, band):
+    """1/d and the floor flag at the points y, with d = P'/P(y) minus
+    sum 1/(y - y_k) over the band roots y_k, so that d is the log
+    derivative of the factor of P that the band roots leave."""
+    dlog, flat = _log_derivative(n, z, y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return 1.0 / (dlog - np.sum(1.0 / (y[:, None] - band), axis=1)), flat
+
+
+def _outer_roots(n, z, band, max_iter):
     """The roots left after the band crossings, for rows with |z| > 1.
 
     ``band`` holds each row's band roots, padded with +inf to n columns;
-    a row has one or two roots left.  They start from the Vieta sums of
-    the spectrum, sum y = a and sum y^2 = a^2 - (b - n + 1) / 2, minus the
-    band's: one root is the remainder itself, two are the roots of a
-    quadratic, moved apart by 1e-6 off their conjugate symmetry so that a
-    pair the rounded quadratic misjudged (real for complex or the reverse,
-    next to an exceptional point) can still turn.  Each step is an Aberth
-    correction 1 / (P'/P - sum 1/(y - y_j)) over the band roots and the
-    other point (``_log_derivative``).  A point is accepted when a finite
-    step is below ``tol`` relative, or when |P| is at its round-off floor
-    and the step no longer halves; an overflowed value or floor is never
-    accepted.  Band roots are real, so the two roots are a conjugate pair
-    or both real: a pair when their real parts are closer than their
-    imaginary parts, returned as exact conjugates; otherwise, and for a
-    lone root, the imaginary parts are dropped.
+    a row has one or two roots left.  The band roots are real and P has
+    real coefficients, so two roots left are y = m -/+ h with h^2 = D and
+    m, D real: a real pair for D >= 0, an exact conjugate pair for D < 0.
+    One root left is m, with D = 0.  The start is the Vieta sums of the
+    spectrum, sum y = a and sum y^2 = a^2 - (b - n + 1) / 2, minus the
+    band's; a pair that starts with |D| below (1e-6 max(1, |m|))^2 starts
+    from D = -(1e-6 max(1, |m|))^2, so that its two points are apart.
+    Each step takes c_i = 1/d_i from ``_newton_step`` at the two roots
+    (the mate of a complex root is its conjugate and is not evaluated) and
+    fits the quadratic factor anew: if the factor that the band roots
+    leave is (y - m + u)^2 - D', then 2 c_i x_i = x_i^2 - D' with
+    x_i = y_i - m + u, which gives u = h (c_1 + c_2) / (2 h + c_1 - c_2)
+    and D' = x_i (x_i - 2 c_i).  This is Bairstow's idea of solving a real
+    pair as one quadratic, and it converges where the pair is nearly
+    double too; D can cross 0, so a pair turns from complex to real or
+    back next to an exceptional point.  A new |D| below the rounding
+    4 eps |D| of its computation (or below (2 eps max(1, |m|))^2) is
+    raised to it with its sign: the pair is double to that resolution,
+    and its two points stay apart.  A lone root takes Newton's step
+    m - c_1.  A row is accepted when its roots move by at most 4 ulps of
+    max(1, |y|), or when P is at its round-off floor at both and the step
+    no longer halves; an overflowed value or floor is never accepted.
 
     Returns
     -------
     numpy.ndarray
         Shape (rows, 2); a row with one root left has nan in column 1.
     """
+    a, w = z.real, z.imag
     finite = np.isfinite(band)
-    left = n - np.count_nonzero(finite, axis=1)
+    two = n - np.count_nonzero(finite, axis=1) == 2
     y_band = np.where(finite, band, 0.0)
     s1 = a - np.sum(y_band, axis=1)
-    s2 = a * a - 0.5 * (b - n + 1.0) - np.sum(y_band * y_band, axis=1)
-    root = np.sqrt(complex(1.0, 0.0) * (2.0 * s2 - s1 * s1))
-    nudge = 1e-6 * np.maximum(1.0, np.abs(s1)) * np.where(
-        root.imag == 0.0, 1j, 1.0)
-    two = left == 2
-    out = np.full((a.size, 2), np.nan, dtype=complex)
-    out[:, 0] = np.where(two, 0.5 * (s1 - root) + nudge, s1)
-    out[two, 1] = 0.5 * (s1[two] + root[two]) - nudge[two]
-    # One point per root, (row, column); a pair's points repel each other.
-    row, col = np.nonzero(np.isfinite(out))
-    mate = 1 - col
-    y = out[row, col]
-    step = np.full(y.size, np.inf)
-    live = np.arange(y.size)
+    s2 = a * a - 0.5 * (a * a + w * w - n + 1.0) - np.sum(y_band * y_band,
+                                                          axis=1)
+    m = np.where(two, 0.5 * s1, s1)
+    d = np.where(two, 0.25 * (2.0 * s2 - s1 * s1), 0.0)
+    seed = np.square(1e-6 * np.maximum(1.0, np.abs(m)))
+    d = np.where(two & (np.abs(d) < seed), -seed, d)
+    step = np.full(z.size, np.inf)
+    # A start that is not finite (|z| near overflow) is returned as it is.
+    live = np.flatnonzero(np.isfinite(m) & np.isfinite(d))
     for _ in range(max_iter):
         if live.size == 0:
             break
-        lr, ly = row[live], y[live]
-        dlog, flat = _log_derivative(n, a[lr], b[lr], ly)
+        lm, ld, lz, lb = m[live], d[live], z[live], band[live]
+        h = np.sqrt(ld + 0j)
+        c1, flat = _newton_step(n, lz, lm - h, lb)
+        c2 = np.conj(c1)
+        real = np.flatnonzero(ld > 0.0)
+        if real.size:
+            c2[real], flat2 = _newton_step(n, lz[real], lm[real] + h[real],
+                                           lb[real])
+            flat[real] &= flat2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            repel = np.where(two[lr], 1.0 / (ly - out[lr, mate[live]]), 0.0)
-            w = 1.0 / (dlog - np.sum(1.0 / (ly[:, None] - band[lr]), axis=1)
-                       - repel)
-        ok = np.isfinite(w)
+            # The quadratic (y - m + u)^2 - D' with these c_1, c_2.
+            pair = two[live]
+            u = np.where(pair, h * (c1 + c2) / (2.0 * h + (c1 - c2)), c1)
+            x1, x2 = u - h, u + h
+            new_m = lm - u.real
+            new_d = 0.5 * (x1 * (x1 - 2.0 * c1) + x2 * (x2 - 2.0 * c2)).real
+            # A |D| below the rounding of its computation is raised to it.
+            noise = np.maximum(4.0 * _EPS * np.abs(ld), np.square(
+                2.0 * _EPS * np.maximum(1.0, np.abs(new_m))))
+            new_d = np.where(pair, np.where(np.abs(new_d) < noise, np.copysign(
+                noise, new_d), new_d), 0.0)
+            new_h = np.sqrt(new_d + 0j)
+            move = np.maximum(np.abs(new_m - lm - (new_h - h)),
+                              np.abs(new_m - lm + (new_h - h)))
+        ok = np.isfinite(move)
         # At the floor, accept once the steps stop shrinking: near a
         # merging pair they wander in the noise ball.
-        done = flat & ~(np.abs(w) < 0.5 * step[live])
-        w = np.where(ok & ~done, w, 0.0)
-        ly = ly - w
-        y[live] = ly
-        out[lr, col[live]] = ly
-        step[live] = np.abs(w)
-        done |= ok & (np.abs(w) <= tol * np.maximum(1.0, np.abs(ly)))
+        done = flat & ~(move < 0.5 * step[live])
+        take = ok & ~done
+        m[live] = np.where(take, new_m, lm)
+        d[live] = np.where(take, new_d, ld)
+        step[live] = move
+        done |= ok & (move <= 4.0 * _EPS * np.maximum(
+            1.0, np.abs(new_m) + np.abs(new_h)))
         live = live[~done]
+    h = np.sqrt(d + 0j)
+    out = np.stack([m - h, np.where(two, m + h, np.nan)], axis=1)
     if live.size:
         raise NoConvergence(
             f"outer root iteration did not converge in {max_iter} steps",
             best=out)
-    ya, yb = out[:, 0], out[:, 1]
-    pair = two & (np.abs(ya.real - yb.real) < np.abs(ya.imag - yb.imag))
-    mean = 0.5 * (ya + np.conj(yb))
-    mean = np.where(mean.imag < 0.0, mean, np.conj(mean))
-    return np.where(pair[:, None], np.stack([mean, np.conj(mean)], axis=1),
-                    out.real)
+    return out
 
 
-def _real_bound_pair(n, a, max_iter):
-    """The two outer roots of a real coupling z = a, |a| > 1, |a|^n large.
-
-    H is real symmetric and commutes with the reversal, and G factors as
-    [t^n (t - a) - (1 - a t)] [t^n (t - a) + (1 - a t)]; each factor has
-    one root near t = 1/a.  On P the two roots are closer than its
-    round-off allows to resolve; each factor's simple root is found by
-    Newton's method from t = 1/a.
-    """
-    t = np.stack([1.0 / a, 1.0 / a], axis=1)
-    sign = np.array([1.0, -1.0])
-    live = np.ones(t.shape, dtype=bool)
-    for _ in range(max_iter):
-        if not live.any():
-            break
-        tl = t[live]
-        al = np.broadcast_to(a[:, None], t.shape)[live]
-        sl = np.broadcast_to(sign, t.shape)[live]
-        tn1 = tl ** (n - 1)
-        f = tn1 * tl * (tl - al) - sl * (1.0 - al * tl)
-        df = tn1 * ((n + 1.0) * tl - n * al) + sl * al
-        step = f / df
-        t[live] = tl - step
-        live[live] = ~(np.abs(step) <= 4.0 * _EPS * np.abs(tl))
-    if live.any():
-        raise NoConvergence(
-            f"bound-state iteration did not converge in {max_iter} steps",
-            best=0.5 * (t + 1.0 / t))
-    return 0.5 * (t + 1.0 / t)
-
-
-def _secular_roots(n, zs, tol, max_iter):
+def _secular_roots(n, zs, max_iter):
     """Sorted secular roots of the couplings ``zs``, one row each.
 
     At n = 2, P is a quadratic and every row takes its closed form; that
@@ -442,11 +439,10 @@ def _secular_roots(n, zs, tol, max_iter):
     under 250 couplings).  Rows with b = |z|^2 = 1 exactly take the closed
     form cos(pi k / n), k = 1 .. n - 1, plus Re z.  Every other row takes
     its band roots from ``_band_roots`` and, when |z| > 1, the one or two
-    roots left from ``_outer_roots`` (from ``_real_bound_pair`` for a real
-    z with |z|^n > e^_BOUND_SPLIT).  Every step is elementwise or a
-    reduction along one row, so a row's roots do not depend on the other
-    rows of the batch.  ``tol`` is the relative step of the outer
-    iteration and ``max_iter`` the iteration budget of each stage.  A
+    roots left from ``_outer_roots``; a real z gets real roots.  Every
+    step is elementwise or a reduction along one row, so a row's roots do
+    not depend on the other rows of the batch.  ``max_iter`` is the
+    iteration budget of each stage.  A
     batch with a root that is not finite (|z| near the square root of the
     largest float, or a nan coupling) raises ``NoConvergence``; the
     overflow on the way there raises no numpy warning.
@@ -480,19 +476,10 @@ def _secular_roots(n, zs, tol, max_iter):
             raise NoConvergence("more than two roots left off the band",
                                 best=roots)
         if outer.size:
-            ao = a[outer]
-            bound = (w[outer] == 0.0) & (left == 2) & (
-                n * np.log(np.maximum(np.abs(ao), 1.0)) > _BOUND_SPLIT)
-            if bound.any():
-                roots[outer[bound], n - 2:] = _real_bound_pair(n, ao[bound],
-                                                               max_iter)
-            rest = outer[~bound]
-            if rest.size:
-                got = _outer_roots(n, a[rest], b[rest], roots[rest].real, tol,
-                                   max_iter)
-                for c in (0, 1):
-                    sel = np.isfinite(got[:, c])
-                    roots[rest[sel], n - left[~bound][sel] + c] = got[sel, c]
+            got = _outer_roots(n, zs[outer], roots[outer].real, max_iter)
+            for c in (0, 1):
+                sel = np.isfinite(got[:, c])
+                roots[outer[sel], n - left[sel] + c] = got[sel, c]
             real_z = w[outer] == 0.0
             roots[outer[real_z]] = roots[outer[real_z]].real
         return _finite(_lexsorted_rows(roots))
@@ -506,7 +493,7 @@ def _finite(roots):
     return roots
 
 
-def _solve_blocks(n, zs, tol=1e-12, max_iter=500):
+def _solve_blocks(n, zs, max_iter=500):
     """Secular roots of the couplings ``zs``, one block at a time.
 
     Yields the roots of ``_BLOCK_ROWS`` consecutive couplings (fewer in
@@ -515,10 +502,10 @@ def _solve_blocks(n, zs, tol=1e-12, max_iter=500):
     """
     zs = np.asarray(zs, dtype=complex)
     for lo in range(0, zs.size, _BLOCK_ROWS):
-        yield _secular_roots(n, zs[lo:lo + _BLOCK_ROWS], tol, max_iter)
+        yield _secular_roots(n, zs[lo:lo + _BLOCK_ROWS], max_iter)
 
 
-def _solve_batch(n, zs, tol=1e-12, max_iter=500):
+def _solve_batch(n, zs, max_iter=500):
     """Secular roots for many couplings at once.
 
     Parameters
@@ -537,7 +524,7 @@ def _solve_batch(n, zs, tol=1e-12, max_iter=500):
         blocks of ``_solve_blocks``.
     """
     return np.concatenate([np.empty((0, n), dtype=complex),
-                           *_solve_blocks(n, zs, tol, max_iter)])
+                           *_solve_blocks(n, zs, max_iter)])
 
 
 @dataclass
@@ -709,16 +696,12 @@ def reality_flags(y_roots, tol=REALITY_TOL):
     return np.abs(y_roots.imag) <= tol * np.maximum(1.0, np.abs(y_roots))
 
 
-def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
+def solve_spectrum(params, max_iter=500, with_wavefunctions=False):
     """Solve the secular equation for one parameter point.
 
     Parameters
     ----------
     params : ModelParams
-    tol : float
-        Relative step below which the roots off the band [-1, 1] (at most
-        two, only when |z| > 1) are accepted.  The band roots are always
-        solved to the round-off bound of their phase equation.
     max_iter : int
         Iteration budget of each stage of the solve (band crossings,
         roots off the band); exceeding it raises ``NoConvergence``, whose
@@ -731,9 +714,9 @@ def solve_spectrum(params, tol=1e-12, max_iter=500, with_wavefunctions=False):
     Spectrum
         The roots are sorted by (Re, Im); a conjugate pair is exact and
         comes out (-Im, +Im).  The solve is O(n) per coupling and covers
-        n up to 1024 and |z| from 0 to 1e3 (see the module docstring).
+        n up to 65,536 and |z| from 0 to 1e3 (see the module docstring).
     """
-    y_roots = _secular_roots(params.n, [params.z], tol, max_iter)[0]
+    y_roots = _secular_roots(params.n, [params.z], max_iter)[0]
     energies = energy_from_y(y_roots, params.convention)
     wfs = None
     if with_wavefunctions:

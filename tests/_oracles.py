@@ -334,13 +334,13 @@ def solve_batch(n, zs, tol=1e-12, max_iter=500):
 
 
 def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
-                             bracket=(0.0, 0.75), tol=1e-12):
+                             bracket=(0.0, 0.75)):
     """The earlier ``analysis.critical_zeta``: its predicate solves the
     whole xi grid in one batch, |z| <= 1 couplings included."""
     xi_grid = np.linspace(0.0, xi_max, xi_steps)
 
     def all_real(zeta):
-        roots = _solve_batch(n, _zs_from_grid(xi_grid, zeta), tol=tol)
+        roots = _solve_batch(n, _zs_from_grid(xi_grid, zeta))
         return bool(np.all(reality_flags(roots)))
 
     lo, hi = bracket

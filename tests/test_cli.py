@@ -365,3 +365,36 @@ def test_cli_import_leaves_out_the_thread_pool_modules():
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, flag, exp, dec", [
+    (("spectrum", "--n", "4", "--omega", "1"), "--rho", "-1e-3", "-0.001"),
+    (("spectrum", "--n", "4", "--xi", "0.5"), "--zeta", "-2.5e-05",
+     "-0.000025"),
+    (("sweep", "--n", "3", "--axis", "xi", "--max", "1", "--steps", "3",
+      "--zeta", "0.2"), "--min", "-1e-3", "-0.001"),
+    (("spectrum", "--n", "4"), "--omega", "-1E-2", "-0.01")])
+def test_negative_values_in_exponent_notation(capsys, argv, flag, exp, dec):
+    # repr of a small float has an exponent; argparse's negative-number
+    # pattern (Python 3.10-3.12) has none and read it as a flag.
+    code, out, err = _run(capsys, *argv, flag, exp)
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, *argv, flag, dec)[1]
+
+
+@pytest.mark.parametrize("command", ["metric", "verify"])
+@pytest.mark.parametrize("family, n", [("n3_general", 3), ("n3_special", 3),
+                                       ("n4_special", 4)])
+@pytest.mark.parametrize("xi", ["1e77", "-1e77", "1e155", "1e308"])
+def test_fixed_size_families_at_huge_coupling(capsys, command, family, n,
+                                              xi):
+    # The entries are rational in xi with finite limits; Python's float
+    # power overflowed on the way there from |xi| of about 1e77.
+    code, out, err = _run(capsys, command, "--n", str(n), "--family", family,
+                          "--xi", xi, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    values = (payload["eigenvalues"] if command == "metric"
+              else [payload["min_metric_eigenvalue"],
+                    payload["dieudonne_residual"]])
+    assert np.all(np.isfinite(values))

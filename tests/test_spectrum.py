@@ -261,7 +261,7 @@ def test_solve_batch_matches_whole_row_oracle_bitwise(monkeypatch, block):
                               (32, 40), (64, 12))
              for zeta in (0.7, 0.6)]
     cases.append((128, 1.0 / (0.7 - 1j * np.linspace(0.0, 2.0, 3))))
-    whole = [spectrum._secular_roots(n, zs, 1e-12, 500) for n, zs in cases]
+    whole = [spectrum._secular_roots(n, zs, 500) for n, zs in cases]
     monkeypatch.setattr(spectrum, "_BLOCK_ROWS", block)
     for (n, zs), expect in zip(cases, whole):
         if block == 1 and zs.size > 40:
