@@ -292,17 +292,21 @@ def test_high_precision_near_the_unit_circle_and_exceptional_points():
 _SIGN = st.sampled_from([-1.0, 1.0])
 _GENERIC = st.builds(lambda e, ph: 10.0 ** e * complex(np.cos(ph), np.sin(ph)),
                      st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * np.pi))
-_NEARLY_REAL = st.builds(
-    lambda s, e, sp, ep: s * 10.0 ** e * complex(
-        np.cos(10.0 ** ep), sp * np.sin(10.0 ** ep)),
-    _SIGN, st.floats(0.1, 3.0), _SIGN, st.floats(-320.0, -6.0))
 _NEAR_UNIT = st.builds(
     lambda s, e, ph: (1.0 + s * 10.0 ** e) * complex(np.cos(ph), np.sin(ph)),
     _SIGN, st.floats(-12.0, -2.0), st.floats(0.0, 2.0 * np.pi))
-_EP_REGION = st.builds(
-    lambda s, e, sp, ep: s * 10.0 ** e * complex(
-        np.cos(10.0 ** ep), sp * np.sin(10.0 ** ep)),
-    _SIGN, st.floats(0.0, 0.5), _SIGN, st.floats(-4.0, -1.0))
+
+
+def _off_axis(log_modulus, log_phase):
+    """+/-|z| e^(+/-i phase), log10 |z| and log10 phase in the ranges."""
+    return st.builds(
+        lambda s, e, sp, ep: s * 10.0 ** e * complex(
+            np.cos(10.0 ** ep), sp * np.sin(10.0 ** ep)),
+        _SIGN, st.floats(*log_modulus), _SIGN, st.floats(*log_phase))
+
+
+_NEARLY_REAL = _off_axis((0.1, 3.0), (-320.0, -6.0))
+_EP_REGION = _off_axis((0.0, 0.5), (-4.0, -1.0))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
