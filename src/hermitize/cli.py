@@ -14,8 +14,8 @@ import json
 import re
 import sys
 
-from .analysis import (continuum_convergence, critical_zeta, endpoint_locus,
-                       sweep_xi, sweep_zeta)
+from .analysis import (_check_count, _check_tolerance, continuum_convergence,
+                       critical_zeta, endpoint_locus, sweep_xi, sweep_zeta)
 from .errors import NoConvergence, SingularParameters
 from .metric import (FAMILIES, dieudonne_nullspace, hermitian_eigenvalues,
                      verify_metric)
@@ -36,11 +36,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads "-1e-3" as a flag, not a negative number: its
-        # pattern has no exponent (Python 3.10-3.12), and repr of a small
-        # float has one.
+        # argparse reads "-1e-3" and "-inf" as flags, not negative numbers:
+        # its pattern has no exponent and no inf or nan (Python 3.10-3.12),
+        # and repr of a small float has an exponent.  float() takes
+        # inf, infinity and nan in any case; the finiteness checks then
+        # name the flag.
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE)
 
     # argparse exits with status 2 on bad flags; route through the
     # package-wide convention (1) instead.
@@ -302,21 +305,25 @@ def _cmd_sweep(args):
 
 
 def _cmd_critical(args):
-    result = critical_zeta(args.n, xi_max=args.xi_max,
-                           xi_steps=args.xi_steps, zeta_tol=args.zeta_tol)
+    # The value is exact and does not depend on --xi-steps or --zeta-tol;
+    # both are still checked, so that existing calls keep working, and the
+    # output keeps its schema: xi_steps is echoed, the bracket is
+    # [value, value].
+    _check_tolerance("zeta_tol", args.zeta_tol)
+    _check_count("xi_steps", args.xi_steps)
+    result = critical_zeta(args.n, xi_max=args.xi_max)
     if args.format == "csv":
-        rows = [(str(result.n), _g(result.value), _g(result.bracket[0]),
-                 _g(result.bracket[1]), _g(result.xi_max),
-                 str(result.xi_steps))]
+        rows = [(str(result.n), _g(result.value), _g(result.value),
+                 _g(result.value), _g(result.xi_max), str(args.xi_steps))]
         _emit_rows(("n", "value", "bracket_lo", "bracket_hi", "xi_max",
                     "xi_steps"), rows, args.out)
     else:
         _emit_json({
             "n": result.n,
             "value": result.value,
-            "bracket": [result.bracket[0], result.bracket[1]],
+            "bracket": [result.value, result.value],
             "xi_max": result.xi_max,
-            "xi_steps": result.xi_steps,
+            "xi_steps": args.xi_steps,
         }, args.out)
     return 0
 
@@ -432,8 +439,10 @@ def _build_parser():
                         help="largest zeta with an all-real spectrum")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--xi-max", type=float, default=10.0)
-    p.add_argument("--xi-steps", type=int, default=2000)
-    p.add_argument("--zeta-tol", type=float, default=1e-5)
+    p.add_argument("--xi-steps", type=int, default=2000,
+                   help="checked and echoed; the value does not use it")
+    p.add_argument("--zeta-tol", type=float, default=1e-5,
+                   help="checked; the value does not use it")
     _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_critical)
 

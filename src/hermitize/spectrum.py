@@ -8,8 +8,8 @@ variable y (E = 2 - 2y on the lattice): with a = Re z and b = |z|^2,
 All coefficients are real, so non-real roots come in conjugate pairs and
 reality of the spectrum can be decided root by root.
 
-The secular solve (``_secular_roots``, behind ``solve_spectrum``, the
-sweeps and ``critical_zeta``) rests on a structure theorem.  Put
+The secular solve (``_secular_roots``, behind ``solve_spectrum`` and the
+sweeps) rests on a structure theorem.  Put
 y = (t + 1/t)/2; then (t - 1/t) P(y) = t^-(n+1) [t^(2n) q(t) - r(t)] with
 q(t) = (t - z)(t - zb) and r(t) = (1 - z t)(1 - zb t), and |q| = |r| on
 the unit circle t = e^(i gamma).  So y = cos(gamma), 0 < gamma < pi, is a
@@ -75,8 +75,7 @@ _EPS = np.finfo(float).eps
 REALITY_TOL = 1e-9
 
 # The batched solve works through its couplings in blocks of this many
-# rows, and critical_zeta's scan stops at the first block with a non-real
-# root.  Roots do not depend on it.  On 2,000-point sweeps (n = 8, 32)
+# rows.  Roots do not depend on it.  On 2,000-point sweeps (n = 8, 32)
 # the phase solver ran about equally fast in blocks of 125 to 2,000 rows,
 # and its peak traced memory grew from 3.5 MB (250 rows) to 21 MB (one
 # block).
@@ -239,13 +238,14 @@ def _band_roots(n, a, b, m2, p2, max_iter):
     f = psi - target
     out = gamma.copy()
     live = np.flatnonzero(~(np.abs(f) <= noise))
-    state = np.stack([xl, xh, gamma, dx, dx_old, f, dpsi, bend, ra, rb, rm,
-                      rp, target])[:, live]
+    # The rows that change, updated in place; the coupling rows and the
+    # target are only re-indexed when crossings are accepted.
+    state = np.stack([xl, xh, gamma, dx, dx_old, f, dpsi, bend])[:, live]
+    ra, rb, rm, rp, target = (c[live] for c in (ra, rb, rm, rp, target))
     for _ in range(max_iter):
         if live.size == 0:
             break
-        (xl, xh, gamma, dx, dx_old, f, dpsi, bend, ra, rb, rm, rp,
-         target) = state
+        xl, xh, gamma, dx, dx_old, f, dpsi, bend = state
         # Bisect when Newton would leave the bracket or would not halve
         # the step before the last one.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,19 +254,22 @@ def _band_roots(n, a, b, m2, p2, max_iter):
             newton = gamma - step
             bisect = ~(((newton - xh) * (newton - xl) <= 0.0)
                        & (np.abs(step + step) <= np.abs(dx_old)))
-        dx_old = dx
-        dx = np.where(bisect, 0.5 * (xh - xl), step)
-        gamma = np.where(bisect, xl + dx, newton)
-        psi, dpsi, bend, noise = _half_phase(n, ra, rb, rm, rp, gamma)
-        f = psi - target
+        # The names are views of the rows of state: write through them.
+        dx_old[...] = dx
+        dx[...] = np.where(bisect, 0.5 * (xh - xl), step)
+        gamma[...] = np.where(bisect, xl + dx, newton)
+        psi, dpsi[...], bend[...], noise = _half_phase(n, ra, rb, rm, rp,
+                                                       gamma)
+        f[...] = psi - target
         out[live] = gamma
         moving = ~((np.abs(dx) <= 2.0 * _EPS * gamma) | (np.abs(f) <= noise))
         below = f < 0.0
-        state = np.stack([np.where(below, gamma, xl),
-                          np.where(below, xh, gamma), gamma, dx, dx_old, f,
-                          dpsi, bend, ra, rb, rm, rp, target])
+        np.copyto(xl, gamma, where=below)
+        np.copyto(xh, gamma, where=~below)
         if not moving.all():
             live, state = live[moving], state[:, moving]
+            ra, rb, rm, rp, target = (c[moving]
+                                      for c in (ra, rb, rm, rp, target))
     if live.size:
         raise NoConvergence(
             f"band root iteration did not converge in {max_iter} steps",
@@ -435,11 +438,10 @@ def _secular_roots(n, zs, max_iter):
 
     At n = 2, P is a quadratic and every row takes its closed form; that
     is also several times cheaper than the phase solve, whose fixed cost
-    per call dominates there (critical_zeta(2) solves about 20 batches of
-    under 250 couplings).  Rows with b = |z|^2 = 1 exactly take the closed
-    form cos(pi k / n), k = 1 .. n - 1, plus Re z.  Every other row takes
-    its band roots from ``_band_roots`` and, when |z| > 1, the one or two
-    roots left from ``_outer_roots``; a real z gets real roots.  Every
+    per call dominates there.  Rows with b = |z|^2 = 1 exactly take the
+    closed form cos(pi k / n), k = 1 .. n - 1, plus Re z.  Every other row
+    takes its band roots from ``_band_roots`` and, when |z| > 1, the one or
+    two roots left from ``_outer_roots``; a real z gets real roots.  Every
     step is elementwise or a reduction along one row, so a row's roots do
     not depend on the other rows of the batch.  ``max_iter`` is the
     iteration budget of each stage.  A
@@ -493,18 +495,6 @@ def _finite(roots):
     return roots
 
 
-def _solve_blocks(n, zs, max_iter=500):
-    """Secular roots of the couplings ``zs``, one block at a time.
-
-    Yields the roots of ``_BLOCK_ROWS`` consecutive couplings (fewer in
-    the last block), as ``_solve_batch`` returns them, so a caller can stop
-    early.  A block that does not converge raises ``NoConvergence``.
-    """
-    zs = np.asarray(zs, dtype=complex)
-    for lo in range(0, zs.size, _BLOCK_ROWS):
-        yield _secular_roots(n, zs[lo:lo + _BLOCK_ROWS], max_iter)
-
-
 def _solve_batch(n, zs, max_iter=500):
     """Secular roots for many couplings at once.
 
@@ -520,11 +510,13 @@ def _solve_batch(n, zs, max_iter=500):
     numpy.ndarray
         Roots of shape (npoly, n), each row sorted by (Re, Im); a
         conjugate pair is exact and comes out (-Im, +Im).  Row i is bitwise
-        ``solve_spectrum`` at coupling zs[i].  The rows are solved in the
-        blocks of ``_solve_blocks``.
+        ``solve_spectrum`` at coupling zs[i].  The rows are solved in
+        blocks of ``_BLOCK_ROWS``.
     """
-    return np.concatenate([np.empty((0, n), dtype=complex),
-                           *_solve_blocks(n, zs, max_iter)])
+    zs = np.asarray(zs, dtype=complex)
+    return np.concatenate([np.empty((0, n), dtype=complex), *(
+        _secular_roots(n, zs[lo:lo + _BLOCK_ROWS], max_iter)
+        for lo in range(0, zs.size, _BLOCK_ROWS))])
 
 
 @dataclass

@@ -13,12 +13,14 @@ phase-equation solver keeps its accuracy contract, and
 ``charpoly_eigenvalues``, which finds the eigenvalues from the
 tridiagonal determinant recurrence (``DetEvaluator``) without the secular
 polynomial.  ``critical_zeta_whole_grid`` is the earlier
-critical-detuning bisection, whose predicate solves every grid point,
-which the pruned predicate must match bracket for bracket.
+critical-detuning bisection on a xi grid, whose predicate solves every
+grid point; the closed form must lie at or below its upper bracket end.
 """
+from collections import namedtuple
+
 import numpy as np
 
-from hermitize.analysis import CriticalResult, _zs_from_grid
+from hermitize.analysis import _zs_from_grid
 from hermitize.errors import NoConvergence
 from hermitize.spectrum import (REALITY_TOL, _lexsorted_rows, _solve_batch,
                                 reality_flags)
@@ -333,10 +335,16 @@ def solve_batch(n, zs, tol=1e-12, max_iter=500):
     return _lexsorted_rows(tie_conjugate_pairs(roots))
 
 
+GridCritical = namedtuple("GridCritical",
+                          "n value bracket xi_max xi_steps")
+
+
 def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
                              bracket=(0.0, 0.75)):
-    """The earlier ``analysis.critical_zeta``: its predicate solves the
-    whole xi grid in one batch, |z| <= 1 couplings included."""
+    """The earlier ``analysis.critical_zeta``: bisection on the predicate
+    "all roots real on the xi grid", which solves the whole grid in one
+    batch.  Returns a ``GridCritical`` with the final (real, non-real)
+    bracket and its midpoint as the value."""
     xi_grid = np.linspace(0.0, xi_max, xi_steps)
 
     def all_real(zeta):
@@ -356,5 +364,5 @@ def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
             lo = mid
         else:
             hi = mid
-    return CriticalResult(n=n, value=0.5 * (lo + hi), bracket=(lo, hi),
-                          xi_max=xi_max, xi_steps=xi_steps)
+    return GridCritical(n=n, value=0.5 * (lo + hi), bracket=(lo, hi),
+                        xi_max=xi_max, xi_steps=xi_steps)

@@ -4,6 +4,8 @@ One test per claim; each prints a summary line with the measured numbers
 so a verbose run documents the margins, not just pass/fail.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,12 +59,12 @@ def test_critical_detuning_values():
     print(f"critical zeta: n=6 {c6.value:.6f}, n=8 {c8.value:.6f}")
     assert c6.value == pytest.approx(0.09903, abs=5e-4)
     assert 0.05 < c8.value < 0.07
-    # Exact bisection brackets: the chunked early exit of the reality
-    # predicate must take the same steps as a whole-grid scan.
-    assert c6.bracket == (0.09903144836425781, 0.09903717041015625)
-    assert c6.value == 0.09903430938720703
-    assert c8.bracket == (0.06031036376953125, 0.06031608581542969)
-    assert c8.value == 0.06031322479248047
+    # The closed form 1 - cos(pi / (n + 1)), against 60-digit mpmath.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        for c in (c6, c8):
+            exact = 1 - mp.cos(mp.pi / (c.n + 1))
+            assert abs(c.value - exact) <= 2 * math.ulp(float(exact))
 
 
 def test_four_site_reality_windows_at_fixed_detuning():

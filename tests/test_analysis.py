@@ -1,17 +1,20 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
-from hermitize import analysis
+from hermitize import analysis, spectrum
 from hermitize.analysis import (classify_reality, continuum_convergence,
                                 critical_zeta, endpoint_locus,
                                 metric_positivity_sweep, sweep_xi,
                                 sweep_zeta)
 from hermitize.errors import SingularParameters
 from hermitize.metric import metric_band_extended, metric_n3_general
-from hermitize.model import ModelParams
-from hermitize.spectrum import _solve_batch, reality_flags, solve_spectrum
+from hermitize.model import ModelParams, build_hamiltonian
+from hermitize.spectrum import (_EPS, _solve_batch, reality_flags,
+                                solve_spectrum)
 
 from _oracles import critical_zeta_whole_grid, max_pair_distance
 
@@ -90,27 +93,16 @@ def test_sweeps_reject_non_finite_grids():
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="finite"):
         sweep_zeta(4, 0.5, 0.0, np.inf, 3)
-    with pytest.raises(ValueError, match="finite"):
-        critical_zeta(4, bracket=(np.nan, 0.75))
 
 
 def test_critical_zeta_two_site_analytic():
     # n = 2 complexifies iff max_xi omega(xi, zeta) = 1/(2(1 - zeta)) > 1,
-    # so the critical detuning is exactly 1/2.
-    result = critical_zeta(2, xi_max=2.0, xi_steps=400, zeta_tol=1e-4)
-    assert result.value == pytest.approx(0.5, abs=1e-3)
-    assert result.bracket[0] < 0.5 + 1e-3
-    assert result.n == 2
-
-
-def test_critical_zeta_chunked_scan_matches_whole_grid_bisection():
-    # On xi in [0, 0.45] every grid coupling near the critical values has
-    # |z| > 1, and the complex window of n = 4 and 6 moves from the first
-    # of the four 250-row solve blocks to the last during the bisection.
-    for n in (4, 6):
-        result = critical_zeta(n, xi_max=0.45, xi_steps=1000, zeta_tol=1e-4)
-        assert result.bracket == critical_zeta_whole_grid(
-            n, xi_max=0.45, xi_steps=1000, zeta_tol=1e-4).bracket
+    # so the critical detuning is exactly 1/2, at the EP xi = 1/2, y = 1/2.
+    result = critical_zeta(2, xi_max=2.0)
+    assert result.value == 0.5
+    assert result.n == 2 and result.xi_max == 2.0
+    assert result.ep_y == pytest.approx(0.5, rel=1e-15)
+    assert result.ep_xi == pytest.approx(0.5, rel=1e-15)
 
 
 _CRITICAL_GRIDS = [
@@ -127,44 +119,42 @@ _CRITICAL_GRIDS = [
     for n, grid in [(n, {}) for n in range(2, 9)]
     + [(n, grid) for grid in _CRITICAL_GRIDS for n in range(2, 7)]])
 def test_critical_zeta_matches_whole_grid_oracle_bitwise(n, grid):
-    # Skipping the |z| <= 1 couplings changes no predicate value, so every
-    # bisection step and the result are the whole-grid ones, bit for bit.
-    got = critical_zeta(n, **grid)
+    # A grid bisection can only miss complexity, so the exact value lies at
+    # or below the oracle's upper bracket end; that comparison is exact,
+    # with no tolerance.  On the default grid the oracle's grid bias is
+    # below 1e-5 up to n = 8.
     want = critical_zeta_whole_grid(n, **grid)
-    assert got.bracket == want.bracket
-    assert got.value == want.value
+    got = critical_zeta(n, xi_max=want.xi_max)
+    assert got.value <= want.bracket[1]
+    if not grid:
+        assert abs(got.value - want.value) < 1e-5
+
+
+def test_whole_grid_bisection_oracle_brackets():
+    # The earlier grid bisection (2,000 xi points on [0, 10], tolerance
+    # 1e-5), kept as an oracle in tests/_oracles.py: its exact brackets,
+    # which lie 3e-6 above the closed form (its grid bias).
+    c6 = critical_zeta_whole_grid(6)
+    c8 = critical_zeta_whole_grid(8)
+    assert c6.bracket == (0.09903144836425781, 0.09903717041015625)
+    assert c6.value == 0.09903430938720703
+    assert c8.bracket == (0.06031036376953125, 0.06031608581542969)
+    assert c8.value == 0.06031322479248047
 
 
 def test_critical_zeta_solves_only_couplings_outside_the_unit_disc(
         monkeypatch):
-    received = []
-    solve_blocks = analysis._solve_blocks
+    # It solves none at all: the default case is in closed form, and the
+    # edge case iterates on the EP formula, not on a spectrum.
+    def refuse(*args, **kwargs):
+        raise AssertionError("critical_zeta called a secular solver")
 
-    def spy(n, zs, *args, **kwargs):
-        received.append(np.array(zs))
-        return solve_blocks(n, zs, *args, **kwargs)
-
-    monkeypatch.setattr(analysis, "_solve_blocks", spy)
-    critical_zeta(6)
-    assert len(received) > 1
-    # The first predicate call is at the lower bracket end zeta = 0.
-    assert received[0].size == 0
-    for zs in received:
-        assert np.all(np.abs(zs) > 1.0)
-        assert zs.size <= 2000 // 10
-    received.clear()
-    critical_zeta(2, xi_max=2.0, xi_steps=400, zeta_tol=1e-2,
-                  bracket=(-0.4, 0.75))
-    assert received[0].size == 0
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"zeta_tol": 0.0}, {"zeta_tol": -1.0}, {"zeta_tol": float("nan")},
-    {"zeta_tol": float("inf")}, {"xi_steps": 0}, {"xi_steps": -3}])
-def test_critical_zeta_rejects_bad_tolerance_or_grid(kwargs):
-    (name,) = kwargs
-    with pytest.raises(ValueError, match=name):
-        critical_zeta(4, **kwargs)
+    monkeypatch.setattr(analysis, "_solve_batch", refuse)
+    for name in ("_secular_roots", "_band_roots", "_outer_roots"):
+        monkeypatch.setattr(spectrum, name, refuse)
+    for n in (2, 6, 64):
+        assert critical_zeta(n).value > 0.0
+        assert critical_zeta(n, xi_max=0.01).value > 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -179,33 +169,139 @@ def test_critical_zeta_rejects_bad_size_or_range(kwargs):
         critical_zeta(args.pop("n"), **args)
 
 
+def test_critical_zeta_rejects_a_range_without_exceptional_points():
+    # At xi = 0 the coupling is real, so xi_max = 0 leaves no EP.
+    with pytest.raises(ValueError, match="xi_max must be finite and > 0"):
+        critical_zeta(4, xi_max=0.0)
+
+
+def _mp_secular_pair(mp, n, zeta, xi, y):
+    """P(y) and P'(y) at z = 1 / (1 - zeta - i xi), each relative to the
+    sum of the absolute values of its three terms, in mpmath."""
+    zeta, xi, y = mp.mpf(zeta), mp.mpf(xi), mp.mpf(y)
+    d = (1 - zeta) ** 2 + xi ** 2
+    a, b = (1 - zeta) / d, 1 / d
+
+    def du(k):
+        # U_k' = ((k + 1) T_(k+1) - y U_k) / (y^2 - 1).
+        return ((k + 1) * mp.chebyt(k + 1, y) - y * mp.chebyu(k, y)) / (
+            y * y - 1)
+
+    out = []
+    for terms in ([mp.chebyu(k, y) for k in (n, n - 1, n - 2)],
+                  [du(k) for k in (n, n - 1, n - 2)]):
+        terms = [terms[0], -2 * a * terms[1], b * terms[2]]
+        out.append(abs(sum(terms)) / sum(abs(t) for t in terms))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8, 16, 64, 257, 1024])
+def test_critical_zeta_is_an_exceptional_point(n):
+    # The closed form 1 - cos(pi / (n + 1)) and its EP (y0, xi*) make
+    # P = P' = 0, in 50-digit mpmath.
+    mp = pytest.importorskip("mpmath")
+    result = critical_zeta(n)
+    with mp.workdps(50):
+        theta = mp.pi / (n + 1)
+        assert abs(result.ep_y - mp.cos(theta)) <= 2 * _EPS
+        assert abs(result.ep_xi / (mp.sin(theta) * mp.sqrt(
+            mp.mpf(n - 1) / (n + 1))) - 1) <= 4 * _EPS
+        residuals = _mp_secular_pair(mp, n, result.value, result.ep_xi,
+                                     result.ep_y)
+    assert max(residuals) < 1e-12, residuals
+
+
+def test_critical_zeta_closed_form_is_within_two_ulps():
+    # 1 - cos(pi / (n + 1)) in 60-digit mpmath, on every 97th n of the
+    # stated range and at its ends.
+    mp = pytest.importorskip("mpmath")
+    ns = [*range(2, 65_537, 97), 65_535, 65_536]
+    with mp.workdps(60):
+        for n in ns:
+            got = critical_zeta(n).value
+            want = 1 - mp.cos(mp.pi / (n + 1))
+            assert abs(got - want) <= 2 * math.ulp(float(want)), n
+
+
+def test_critical_zeta_at_the_top_of_the_range_is_instant():
+    # The fastest of five calls, against a bisection that would not end.
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        result = critical_zeta(65_536)
+        times.append(time.perf_counter() - start)
+    assert 0.0 < result.value < 1.2e-9
+    assert 0.0 < result.ep_xi < 1e-4
+    assert min(times) < 1e-3, times
+
+
+# The EP edge xi_max < xi*(n), with the 20,001-point bisection values it
+# was probed against.
+_EDGE_CASES = [(6, 0.2, 0.149917), (6, 0.3, 0.106840), (8, 0.25, 0.066209),
+               (3, 0.3, 0.339791), (2, 0.45, 0.502506)]
+
+
+@pytest.mark.parametrize("n, xi_max, probe", _EDGE_CASES)
+def test_critical_zeta_below_xi_star_is_the_ep_on_the_edge(n, xi_max,
+                                                          probe):
+    mp = pytest.importorskip("mpmath")
+    result = critical_zeta(n, xi_max=xi_max)
+    assert (result.xi_max, result.ep_xi) == (xi_max, xi_max)
+    assert result.ep_y > np.cos(np.pi / (n + 1))
+    assert result.value == pytest.approx(probe, abs=1e-6)
+    with mp.workdps(50):
+        # The EP at the returned double root, by Cramer's rule on
+        # P = P' = 0 in (a, b) = (Re z, |z|^2).
+        y = mp.mpf(result.ep_y)
+        u = [mp.chebyu(k, y) for k in (n, n - 1, n - 2)]
+        du = [mp.diff(lambda x, k=k: mp.chebyu(k, x), y)
+              for k in (n, n - 1, n - 2)]
+        a, b = mp.lu_solve(mp.matrix([[2 * u[1], -u[2]],
+                                      [2 * du[1], -du[2]]]),
+                           mp.matrix([u[0], du[0]]))
+        assert abs((1 - a / b) / result.value - 1) < 1e-13
+        assert abs(mp.sqrt(b - a * a) / b / xi_max - 1) < 1e-13
+        residuals = _mp_secular_pair(mp, n, result.value, xi_max, y)
+    assert max(residuals) < 1e-12, residuals
+    if n == 2:
+        assert result.value == pytest.approx(
+            1.0 - np.sqrt(xi_max * (1.0 - xi_max)), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 6, 8, 16, 64])
+def test_critical_zeta_is_the_threshold_on_both_sides(n):
+    # Just above zeta_c the EP's xi gives a conjugate pair in dense
+    # eigvals; just below it the spectrum is real over xi in [0, 10] and
+    # on a fine grid about xi*.  At n = 64 a 2,000-point grid bisection
+    # sat 8.5% above zeta_c, where this grid finds a complex pair.
+    result = critical_zeta(n)
+    xi_star = np.sin(np.pi / (n + 1)) * np.sqrt((n - 1) / (n + 1))
+    above = ModelParams(n=n, xi=xi_star, zeta=result.value * (1 + 1e-4))
+    eigs = np.linalg.eigvals(build_hamiltonian(above).dense())
+    pair = np.sort(np.abs(eigs.imag))[-2:]
+    assert np.all(pair > 1e-9) and pair[0] == pytest.approx(pair[1])
+    below = result.value * (1 - 1e-4)
+    for lo, hi, steps in ((0.0, 10.0, 2000),
+                          (0.99 * xi_star, 1.01 * xi_star, 2001)):
+        assert sweep_xi(n, below, lo, hi, steps).all_real.all()
+
+
 def test_bisection_below_float_spacing_stops_at_adjacent_floats(
         monkeypatch):
     # A positive tolerance below the float spacing of the bracket ends
-    # must not loop once the midpoint equals one of them.  The solvers are
-    # capped so that a regression fails instead of hanging.
-    def capped(name):
-        calls = itertools.count()
-        inner = getattr(analysis, name)
+    # must not loop once the midpoint equals one of them.  The eigenvalue
+    # call is capped so that a regression fails instead of hanging.
+    calls = itertools.count()
+    inner = analysis.hermitian_eigenvalues
 
-        def call(*args, **kwargs):
-            assert next(calls) < 1000, f"{name} called without end"
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(analysis, name, call)
+    def capped(*args, **kwargs):
+        assert next(calls) < 1000, "hermitian_eigenvalues called without end"
+        return inner(*args, **kwargs)
 
-    capped("_solve_blocks")
-    capped("hermitian_eigenvalues")
-    lo, hi = critical_zeta(2, xi_max=2.0, xi_steps=50,
-                           zeta_tol=1e-300).bracket
-    assert np.nextafter(lo, np.inf) == hi
+    monkeypatch.setattr(analysis, "hermitian_eigenvalues", capped)
     fine = metric_positivity_sweep("band", 2, -1.5, 1.5, 31, param_tol=1e-300)
     assert fine.edge_positive == pytest.approx(1.0, abs=1e-12)
     assert fine.edge_negative == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_critical_zeta_invalid_bracket():
-    with pytest.raises(ValueError):
-        critical_zeta(4, xi_max=2.0, xi_steps=100, bracket=(0.6, 0.75))
 
 
 def test_positivity_sweep_band_two_site():

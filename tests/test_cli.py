@@ -194,6 +194,22 @@ def test_critical_json_fields(capsys):
     assert doc["n"] == 2
     assert doc["value"] == pytest.approx(0.5, abs=5e-3)
     assert doc["bracket"][0] <= doc["value"] <= doc["bracket"][1]
+    # The value is exact: the bracket is degenerate, and the kept grid
+    # flags are echoed.
+    assert doc["bracket"] == [doc["value"], doc["value"]]
+    assert (doc["xi_max"], doc["xi_steps"]) == (2.0, 200)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--omega", "1", "--rho", "-inf"), "rho"),
+    (("--xi", "0.5", "--zeta", "-nan"), "zeta"),
+    (("--omega", "-Infinity"), "omega")])
+def test_negative_non_finite_values_reach_the_finiteness_check(capsys, argv,
+                                                               flag):
+    # A separate "-inf" was read as a flag ("expected one argument").
+    code, out, err = _run(capsys, "spectrum", "--n", "4", *argv)
+    assert code == 1 and out == ""
+    assert f"{flag} must be finite" in err
 
 
 def _run_python(*args):
