@@ -370,7 +370,7 @@ def _ep_curve(n, v):
     return float(zeta), float(log_xi), float(dlog), float(1.0 - one_minus_y)
 
 
-def _edge_ep(n, theta, xi_max, max_iter=200):
+def _edge_ep(n, theta, xi_max):
     """The EP with xi = xi_max on the side y > y0 = cos(theta) of the EP
     curve, where xi falls from xi* to 0 as y grows; returns the
     ``_ep_curve`` tuple there.
@@ -387,7 +387,7 @@ def _edge_ep(n, theta, xi_max, max_iter=200):
         lo, lam = -lam * lam, 2.0 * lam
     v = 0.5 * (lo + hi)
     dx = dx_old = hi - lo
-    for _ in range(max_iter):
+    for _ in range(200):
         point = _ep_curve(n, v)
         f = point[1] - target
         if f < 0.0:
@@ -405,7 +405,7 @@ def _edge_ep(n, theta, xi_max, max_iter=200):
         else:
             dx_old, dx = dx, 0.5 * (hi - lo)
             v = lo + dx
-    raise NoConvergence(f"EP iteration did not converge in {max_iter} steps")
+    raise NoConvergence("EP iteration did not converge in 200 steps")
 
 
 def critical_zeta(n, xi_max=10.0):

@@ -133,7 +133,8 @@ def test_critical_zeta_matches_whole_grid_oracle_bitwise(n, grid):
 def test_whole_grid_bisection_oracle_brackets():
     # The earlier grid bisection (2,000 xi points on [0, 10], tolerance
     # 1e-5), kept as an oracle in tests/_oracles.py: its exact brackets,
-    # which lie 3e-6 above the closed form (its grid bias).
+    # whose midpoints lie 3e-6 and 6e-6 above the closed form (its grid
+    # bias).
     c6 = critical_zeta_whole_grid(6)
     c8 = critical_zeta_whole_grid(8)
     assert c6.bracket == (0.09903144836425781, 0.09903717041015625)
@@ -159,20 +160,15 @@ def test_critical_zeta_solves_only_couplings_outside_the_unit_disc(
 
 @pytest.mark.parametrize("kwargs", [
     {"n": 1}, {"n": 0}, {"n": 2.5}, {"xi_max": float("nan")},
-    {"xi_max": float("inf")}, {"xi_max": -1.0}])
+    {"xi_max": float("inf")}, {"xi_max": -1.0}, {"xi_max": 0.0}])
 def test_critical_zeta_rejects_bad_size_or_range(kwargs):
     # n = 1 used to report "no complexification found", and xi_max = nan
     # or inf a solver failure (NoConvergence), as if the input were valid.
+    # At xi = 0 the coupling is real, so xi_max = 0 leaves no EP.
     (name,) = kwargs
     args = {"n": 4, **kwargs}
     with pytest.raises(ValueError, match=name):
         critical_zeta(args.pop("n"), **args)
-
-
-def test_critical_zeta_rejects_a_range_without_exceptional_points():
-    # At xi = 0 the coupling is real, so xi_max = 0 leaves no EP.
-    with pytest.raises(ValueError, match="xi_max must be finite and > 0"):
-        critical_zeta(4, xi_max=0.0)
 
 
 def _mp_secular_pair(mp, n, zeta, xi, y):
