@@ -19,7 +19,8 @@ import numpy as np
 from .errors import NoConvergence, SingularParameters
 from .metric import FAMILIES, hermitian_eigenvalues
 from .model import check_size, energy_from_y
-from .spectrum import _EPS, REALITY_TOL, _solve_batch, reality_flags
+from .spectrum import (_EPS, REALITY_TOL, _check_max_iter, _solve_batch,
+                       reality_flags)
 
 # Two real secular roots closer than this are flagged as a near-merge:
 # the parameter point sits next to a complexification threshold and the
@@ -166,8 +167,8 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
         Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
     max_iter : int
-        Iteration budget of each stage of the root solve, as in
-        ``spectrum.solve_spectrum``.
+        Iteration budget of each stage of the root solve, an integer
+        >= 0, as in ``spectrum.solve_spectrum``.
 
     Returns
     -------
@@ -176,6 +177,7 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     """
     check_size(n)
     _check_count("steps", steps)
+    _check_max_iter(max_iter)
     values = np.linspace(xi_min, xi_max, steps)
     zs = _zs_from_grid(values, zeta)
     roots = _solve_batch(n, zs, max_iter=max_iter)
@@ -213,6 +215,7 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     """
     check_size(n)
     _check_count("steps", steps)
+    _check_max_iter(max_iter)
     values = np.linspace(zeta_min, zeta_max, steps)
     zs = _zs_from_grid(xi, values)
     roots = _solve_batch(n, zs, max_iter=max_iter)

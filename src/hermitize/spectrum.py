@@ -36,6 +36,11 @@ bisection when a step would leave the bracket or fails to halve the one
 before), vectorized over all couplings and levels and stopped at the
 round-off bound of psi.  That is O(n) work per
 coupling, with no polynomial evaluation and nothing that can overflow.
+A crossing takes about three evaluations of psi and four or five calls
+of cos or sin: its first iterate is the midpoint of its window, whose
+cosine and sine come from a table of the n + 1 windows, its root is the
+cosine of its last iterate, and psi' and psi'' are evaluated only while
+it still moves.
 At most two roots are left off the band, y = m -/+ sqrt(D) with m and D
 real.  They start from the trace identities sum y = a and
 sum y^2 = a^2 - (b - n + 1)/2 minus the band roots, and every step fits
@@ -74,12 +79,14 @@ _EPS = np.finfo(float).eps
 # where no solver resolves it better than the square root of round-off.
 REALITY_TOL = 1e-9
 
-# The batched solve works through its couplings in blocks of this many
-# rows.  Roots do not depend on it.  On 2,000-point sweeps (n = 8, 32)
-# the phase solver ran about equally fast in blocks of 125 to 2,000 rows,
-# and its peak traced memory grew from 3.5 MB (250 rows) to 21 MB (one
-# block).
-_BLOCK_ROWS = 250
+# The batched solve works through its couplings in blocks of
+# max(1, _BLOCK_CROSSINGS // n) rows, about this many band crossings each.
+# Roots do not depend on it.  On the 2,000-point sweeps of the reality-scan
+# benchmark (n = 8 and 32, a shared 2-vCPU Xeon) the solve ran about
+# equally fast at 4,000 to 16,000 crossings a block and 30-40% slower at
+# 2,000.  Its peak traced memory is 2.8 MB at n = 8 and 3.5 MB at n = 32
+# (3.8 MB with the earlier 250-row blocks) and doubles with the budget.
+_BLOCK_CROSSINGS = 8000
 
 # An exact zero pivot of the twisted factorization becomes this value.
 _TINY = float(np.finfo(float).tiny)
@@ -107,49 +114,75 @@ def secular_polynomial(params):
     return c
 
 
+def _check_max_iter(max_iter):
+    """Raise ValueError unless the iteration budget is an integer >= 0."""
+    if (isinstance(max_iter, bool)
+            or not isinstance(max_iter, (int, np.integer)) or max_iter < 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter}")
+
+
 def _lexsorted_rows(y):
     """Sort each row by (Re, Im), ascending; deterministic output order."""
     return np.take_along_axis(y, np.lexsort((y.imag, y.real), axis=-1),
                               axis=-1)
 
 
-def _half_phase(n, a, b, m2, p2, gamma):
-    """Half-phase of the band equation with psi', psi''/psi' and a bound on
-    the round-off of psi.
+def _phase_coef(a, b, m2, p2):
+    """The constants of psi for ``_half_phase`` and ``_phase_slope``:
+    (2 a, 1 - b, 1 + b, (1 - b)^2, m2, p2)."""
+    omb = 1.0 - b
+    return 2.0 * a, omb, 1.0 + b, omb * omb, m2, p2
+
+
+def _half_phase(n, gamma, x, s, coef):
+    """Half-phase of the band equation and a bound on its round-off, at
+    gamma with x = cos(gamma), s = sin(gamma) and ``coef`` from
+    ``_phase_coef``.
 
     psi(gamma) = n gamma + theta(gamma) with
     theta = atan2((1 - b) sin gamma, (1 + b) cos gamma - 2 a), a = Re z and
     b = |z|^2; y = cos(gamma) is a root exactly where psi = pi k.  The
-    second argument is taken as |1 - z|^2 - (1 + b)(1 - cos gamma) when
-    cos gamma >= 0 and as (1 + b)(1 + cos gamma) - |1 + z|^2 otherwise,
-    with m2 = |1 - z|^2 and p2 = |1 + z|^2 from z itself, which keeps it
-    accurate at the band edges when z is near +/-1.  The bound covers the
-    rounding of n gamma, of atan2 and of its two arguments; it grows where
-    theta turns steeply (|z| near 1), and it vanishes with gamma, so roots
-    near y = 1 keep their relative accuracy.
+    second argument is taken as
+    |1 - z|^2 - (1 + b)(1 - cos gamma) when cos gamma >= 0 and as
+    (1 + b)(1 + cos gamma) - |1 + z|^2 otherwise, with m2 = |1 - z|^2 and
+    p2 = |1 + z|^2 from z itself, which keeps it accurate at the band
+    edges when z is near +/-1.  The bound covers the rounding of n gamma,
+    of atan2 and of its two arguments; it grows where theta turns steeply
+    (|z| near 1), and it vanishes with gamma, so roots near y = 1 keep
+    their relative accuracy.
+
+    Returns (psi, bound, parts); ``_phase_slope`` takes psi' and
+    psi''/psi' from ``parts``.
     """
-    x, s = np.cos(gamma), np.sin(gamma)
+    _, omb, opb, _, m2, p2 = coef
     upper = x >= 0.0
     # 1 - x or 1 + x, whichever is not a cancellation, and the edge term.
     gap = s * s / (1.0 + np.abs(x))
     edge = np.where(upper, m2, p2)
-    one_minus_b = 1.0 - b
-    num = one_minus_b * s
-    bulk = (1.0 + b) * gap
+    num = omb * s
+    bulk = opb * gap
     den = edge - bulk
     den = np.where(upper, den, -den)
     h = num * num + den * den
     theta = np.arctan2(num, den)
-    tilt = 2.0 * a * gap
-    slope = one_minus_b * np.where(upper, edge + tilt, edge - tilt) / h
-    # psi'' / psi' for Halley's correction (infinite where psi' = 0).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bend = (2.0 * a * num - slope * 2.0 * s * (
-            one_minus_b * one_minus_b * x - (1.0 + b) * den)) / h / (n + slope)
     abs_den = np.abs(den)
     noise = np.abs(theta) + np.abs(num) * (abs_den + abs_den + edge + bulk) / h
     n_gamma = n * gamma
-    return n_gamma + theta, n + slope, bend, 4.0 * _EPS * (n_gamma + noise)
+    return (n_gamma + theta, 4.0 * _EPS * (n_gamma + noise),
+            (x, s, gap, edge, num, den, h))
+
+
+def _phase_slope(n, coef, parts):
+    """psi' and psi''/psi' (infinite where psi' = 0) from the ``parts`` of
+    ``_half_phase``."""
+    two_a, omb, opb, omb2, _, _ = coef
+    x, s, gap, edge, num, den, h = parts
+    tilt = two_a * gap
+    slope = omb * np.where(x >= 0.0, edge + tilt, edge - tilt) / h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bend = (two_a * num - slope * 2.0 * s * (omb2 * x - opb * den)) / h / (
+            n + slope)
+    return n + slope, bend
 
 
 def _monotone_pieces(n, a, b, m2, p2):
@@ -186,31 +219,26 @@ def _monotone_pieces(n, a, b, m2, p2):
             crit = np.where((disc > 0.0)[:, None] & (np.abs(x) < 1.0),
                             np.arccos(x), np.pi)
         crit.sort(axis=1)
-        psi = _half_phase(n, ao[:, None], bo[:, None], m2[idx, None],
-                          p2[idx, None], crit)[0]
+        coef = _phase_coef(ao[:, None], bo[:, None], m2[idx, None],
+                           p2[idx, None])
+        psi = _half_phase(n, crit, np.cos(crit), np.sin(crit), coef)[0]
         ends[idx, 1:3] = crit
         levels[idx, 1:3] = np.where(crit < np.pi, psi / np.pi, n - 1.0)
     return ends, levels
 
 
-def _band_roots(n, a, b, m2, p2, max_iter):
-    """Real roots y = cos(gamma), 0 < gamma < pi, of the rows with b != 1.
+def _crossings(n, a, b, m2, p2):
+    """The level crossings of the rows, their brackets and first iterates.
 
-    Every level pi k strictly between the end values of a monotone piece
-    of psi is crossed once on that piece.  Since |theta| <= pi, the
-    crossing also lies in [pi (k - 1) / n, pi k / n] for |z| < 1 and in
-    [pi k / n, pi (k + 1) / n] for |z| > 1; the solve is a safeguarded
-    Newton iteration (``rtsafe`` of *Numerical Recipes*) on that bracket,
-    with Halley's correction of the Newton step by psi'', vectorized over
-    all crossings.  A crossing is accepted when |psi - pi k|
-    is at the round-off bound of ``_half_phase`` or the step is below two
-    ulps of gamma.
-
-    Returns
-    -------
-    (y, row) : numpy.ndarray
-        The roots and the row of each, ordered by row, then by piece, then
-        by level.
+    Returns (row, coef, target, xl, xh, gamma, dx, x, s) per crossing: its
+    row and the ``_phase_coef`` of that row, its level pi k, the bracket
+    ends xl (psi < pi k) and xh, its midpoint gamma and width dx, and
+    x = cos(gamma), s = sin(gamma).  The bracket is the window
+    [pi j / n, pi (j + 1) / n], j = k - 1 for |z| < 1 and j = k for
+    |z| > 1 (|theta| <= pi puts the crossing there, and j in 0 .. n),
+    widened by a few ulps and cut to the monotone piece.  x and s come
+    from a table of the n + 1 window midpoints unless the piece cuts the
+    window.
     """
     ends, levels = _monotone_pieces(n, a, b, m2, p2)
     lo_l, hi_l = levels[:, :3].ravel(), levels[:, 1:].ravel()
@@ -220,32 +248,66 @@ def _band_roots(n, a, b, m2, p2, max_iter):
     first = np.cumsum(count) - count
     k = kmin[piece] + (np.arange(piece.size) - first[piece])
     row = piece // 3
-    ra, rb, rm, rp = a[row], b[row], m2[row], p2[row]
-    # The level window, widened by a few ulps, inside the piece.
-    shift = np.where(rb > 1.0, 0.0, -1.0)
-    lo = np.maximum(ends[:, :3].ravel()[piece],
-                    (k + shift) * np.pi / n - 4.0 * _EPS)
-    hi = np.minimum(ends[:, 1:].ravel()[piece],
-                    (k + shift + 1.0) * np.pi / n + 4.0 * _EPS)
+    coef = _phase_coef(a[row], b[row], m2[row], p2[row])
+    win = np.arange(n + 1.0)
+    win_lo = win * np.pi / n - 4.0 * _EPS
+    win_hi = (win + 1.0) * np.pi / n + 4.0 * _EPS
+    win_mid = 0.5 * (win_lo + win_hi)
+    j = (k - 1.0 + (b[row] > 1.0)).astype(np.intp)
+    lo = np.maximum(ends[:, :3].ravel()[piece], win_lo[j])
+    hi = np.minimum(ends[:, 1:].ravel()[piece], win_hi[j])
     rising = (hi_l > lo_l)[piece]
-    # rtsafe keeps xl where psi < pi k and xh where psi > pi k.
-    xl, xh = np.where(rising, lo, hi), np.where(rising, hi, lo)
-    target = k * np.pi
     gamma = 0.5 * (lo + hi)
-    dx = np.abs(hi - lo)
-    dx_old = dx.copy()
-    psi, dpsi, bend, noise = _half_phase(n, ra, rb, rm, rp, gamma)
+    x, s = np.cos(win_mid)[j], np.sin(win_mid)[j]
+    cut = np.flatnonzero(gamma != win_mid[j])
+    x[cut], s[cut] = np.cos(gamma[cut]), np.sin(gamma[cut])
+    return (row, coef, k * np.pi, np.where(rising, lo, hi),
+            np.where(rising, hi, lo), gamma, np.abs(hi - lo), x, s)
+
+
+def _band_roots(n, a, b, m2, p2, max_iter):
+    """Real roots y = cos(gamma), 0 < gamma < pi, of the rows with b != 1.
+
+    Every level pi k strictly between the end values of a monotone piece
+    of psi is crossed once on that piece, inside a window of width pi / n
+    (``_crossings``).  The solve is a safeguarded Newton iteration
+    (``rtsafe`` of *Numerical Recipes*) on that bracket, with Halley's
+    correction of the Newton step by psi'', vectorized over all
+    crossings, from the midpoint of the bracket.  A crossing is accepted
+    when |psi - pi k| is at the round-off bound of ``_half_phase`` or the
+    step is below two ulps of gamma; psi' and psi'' are computed only for
+    the crossings that go on.  Each root is the cosine of its last
+    iterate.
+
+    Returns
+    -------
+    (y, row) : numpy.ndarray
+        The roots and the row of each, ordered by row, then by piece, then
+        by level.
+    """
+    row, coef, target, xl, xh, gamma, dx, x, s = _crossings(n, a, b, m2, p2)
+    dx_old = dx
+    psi, noise, parts = _half_phase(n, gamma, x, s, coef)
     f = psi - target
-    out = gamma.copy()
-    live = np.flatnonzero(~(np.abs(f) <= noise))
-    # The rows that change, updated in place; the coupling rows and the
-    # target are only re-indexed when crossings are accepted.
-    state = np.stack([xl, xh, gamma, dx, dx_old, f, dpsi, bend])[:, live]
-    ra, rb, rm, rp, target = (c[live] for c in (ra, rb, rm, rp, target))
-    for _ in range(max_iter):
-        if live.size == 0:
+    # y holds each crossing's root once it is accepted; x is never
+    # written in place, so y can start as it.
+    y = x
+    moving = ~(np.abs(f) <= noise)
+    live = np.arange(f.size)
+    for it in range(max_iter + 1):
+        if not moving.all():
+            keep = np.flatnonzero(moving)
+            done = np.flatnonzero(~moving)
+            y[live[done]] = x[done]
+            live = live[keep]
+            xl, xh, gamma, dx, dx_old, f, target = (
+                v[keep] for v in (xl, xh, gamma, dx, dx_old, f, target))
+            coef = tuple(v[keep] for v in coef)
+            parts = tuple(v[keep] for v in parts)
+            x = parts[0]
+        if live.size == 0 or it == max_iter:
             break
-        xl, xh, gamma, dx, dx_old, f, dpsi, bend = state
+        dpsi, bend = _phase_slope(n, coef, parts)
         # Bisect when Newton would leave the bracket or would not halve
         # the step before the last one.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,27 +316,24 @@ def _band_roots(n, a, b, m2, p2, max_iter):
             newton = gamma - step
             bisect = ~(((newton - xh) * (newton - xl) <= 0.0)
                        & (np.abs(step + step) <= np.abs(dx_old)))
-        # The names are views of the rows of state: write through them.
-        dx_old[...] = dx
-        dx[...] = np.where(bisect, 0.5 * (xh - xl), step)
-        gamma[...] = np.where(bisect, xl + dx, newton)
-        psi, dpsi[...], bend[...], noise = _half_phase(n, ra, rb, rm, rp,
-                                                       gamma)
-        f[...] = psi - target
-        out[live] = gamma
+        dx_old = dx
+        dx = np.where(bisect, 0.5 * (xh - xl), step)
+        gamma = np.where(bisect, xl + dx, newton)
+        # Drop the last evaluation before the next: it sets the peak memory.
+        del parts, dpsi, bend, step, newton, bisect
+        x, s = np.cos(gamma), np.sin(gamma)
+        psi, noise, parts = _half_phase(n, gamma, x, s, coef)
+        f = psi - target
         moving = ~((np.abs(dx) <= 2.0 * _EPS * gamma) | (np.abs(f) <= noise))
         below = f < 0.0
-        np.copyto(xl, gamma, where=below)
-        np.copyto(xh, gamma, where=~below)
-        if not moving.all():
-            live, state = live[moving], state[:, moving]
-            ra, rb, rm, rp, target = (c[moving]
-                                      for c in (ra, rb, rm, rp, target))
+        xl = np.where(below, gamma, xl)
+        xh = np.where(below, xh, gamma)
     if live.size:
+        y[live] = x
         raise NoConvergence(
             f"band root iteration did not converge in {max_iter} steps",
-            best=np.cos(out))
-    return np.cos(out), row
+            best=y)
+    return y, row
 
 
 def _log_derivative(n, z, y):
@@ -511,12 +570,13 @@ def _solve_batch(n, zs, max_iter=500):
         Roots of shape (npoly, n), each row sorted by (Re, Im); a
         conjugate pair is exact and comes out (-Im, +Im).  Row i is bitwise
         ``solve_spectrum`` at coupling zs[i].  The rows are solved in
-        blocks of ``_BLOCK_ROWS``.
+        blocks of about ``_BLOCK_CROSSINGS`` band crossings.
     """
     zs = np.asarray(zs, dtype=complex)
+    rows = max(1, _BLOCK_CROSSINGS // n)
     return np.concatenate([np.empty((0, n), dtype=complex), *(
-        _secular_roots(n, zs[lo:lo + _BLOCK_ROWS], max_iter)
-        for lo in range(0, zs.size, _BLOCK_ROWS))])
+        _secular_roots(n, zs[lo:lo + rows], max_iter)
+        for lo in range(0, zs.size, rows))])
 
 
 @dataclass
@@ -696,8 +756,9 @@ def solve_spectrum(params, max_iter=500, with_wavefunctions=False):
     params : ModelParams
     max_iter : int
         Iteration budget of each stage of the solve (band crossings,
-        roots off the band); exceeding it raises ``NoConvergence``, whose
-        ``best`` holds the iterates.  So does a root that is not finite.
+        roots off the band), an integer >= 0; exceeding it raises
+        ``NoConvergence``, whose ``best`` holds the iterates.  So does a
+        root that is not finite.
     with_wavefunctions : bool
         Also build the eigenvector at every root.
 
@@ -708,6 +769,7 @@ def solve_spectrum(params, max_iter=500, with_wavefunctions=False):
         comes out (-Im, +Im).  The solve is O(n) per coupling and covers
         n up to 65,536 and |z| from 0 to 1e3 (see the module docstring).
     """
+    _check_max_iter(max_iter)
     y_roots = _secular_roots(params.n, [params.z], max_iter)[0]
     energies = energy_from_y(y_roots, params.convention)
     wfs = None

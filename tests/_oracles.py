@@ -12,7 +12,9 @@ points (``secular_start``, ``circle_start``) and its conjugate-pair tie
 phase-equation solver keeps its accuracy contract, and
 ``charpoly_eigenvalues``, which finds the eigenvalues from the
 tridiagonal determinant recurrence (``DetEvaluator``) without the secular
-polynomial.  ``critical_zeta_whole_grid`` is the earlier
+polynomial.  ``half_phase``, ``monotone_pieces`` and ``band_roots`` are
+the earlier band stage of the phase solver, whose bits the lean one keeps.
+``critical_zeta_whole_grid`` is the earlier
 critical-detuning bisection on a xi grid, whose predicate solves every
 grid point; the closed form must lie at or below its upper bracket end.
 """
@@ -34,6 +36,14 @@ _EPS = np.finfo(float).eps
 # circle stays there; on 400 at n = 64 .. 112 the ellipse did so for 1 and
 # the circle for 5.
 _BAND_START_DEGREES = 128
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float or complex arrays, signed zeros
+    included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
 def max_pair_distance(a, b):
@@ -333,6 +343,170 @@ def solve_batch(n, zs, tol=1e-12, max_iter=500):
     roots = aberth_rows(evaluate, secular_start(coeffs.shape[0], n), tol,
                         max_iter)
     return _lexsorted_rows(tie_conjugate_pairs(roots))
+
+
+def half_phase(n, a, b, m2, p2, gamma):
+    """Half-phase of the band equation with psi', psi''/psi' and a bound on
+    the round-off of psi.
+
+    psi(gamma) = n gamma + theta(gamma) with
+    theta = atan2((1 - b) sin gamma, (1 + b) cos gamma - 2 a), a = Re z and
+    b = |z|^2; y = cos(gamma) is a root exactly where psi = pi k.  The
+    second argument is taken as |1 - z|^2 - (1 + b)(1 - cos gamma) when
+    cos gamma >= 0 and as (1 + b)(1 + cos gamma) - |1 + z|^2 otherwise,
+    with m2 = |1 - z|^2 and p2 = |1 + z|^2 from z itself, which keeps it
+    accurate at the band edges when z is near +/-1.  The bound covers the
+    rounding of n gamma, of atan2 and of its two arguments; it grows where
+    theta turns steeply (|z| near 1), and it vanishes with gamma, so roots
+    near y = 1 keep their relative accuracy.
+    """
+    x, s = np.cos(gamma), np.sin(gamma)
+    upper = x >= 0.0
+    # 1 - x or 1 + x, whichever is not a cancellation, and the edge term.
+    gap = s * s / (1.0 + np.abs(x))
+    edge = np.where(upper, m2, p2)
+    one_minus_b = 1.0 - b
+    num = one_minus_b * s
+    bulk = (1.0 + b) * gap
+    den = edge - bulk
+    den = np.where(upper, den, -den)
+    h = num * num + den * den
+    theta = np.arctan2(num, den)
+    tilt = 2.0 * a * gap
+    slope = one_minus_b * np.where(upper, edge + tilt, edge - tilt) / h
+    # psi'' / psi' for Halley's correction (infinite where psi' = 0).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bend = (2.0 * a * num - slope * 2.0 * s * (
+            one_minus_b * one_minus_b * x - (1.0 + b) * den)) / h / (n + slope)
+    abs_den = np.abs(den)
+    noise = np.abs(theta) + np.abs(num) * (abs_den + abs_den + edge + bulk) / h
+    n_gamma = n * gamma
+    return n_gamma + theta, n + slope, bend, 4.0 * _EPS * (n_gamma + noise)
+
+
+def monotone_pieces(n, a, b, m2, p2):
+    """Ends of the monotone pieces of psi on [0, pi], and psi / pi there.
+
+    Returns (ends, levels), each of shape (rows, 4): piece j runs from
+    ends[:, j] to ends[:, j + 1].  psi is increasing when |z| < 1, and
+    psi' = 0 is a quadratic in x = cos(gamma),
+
+        4 n b x^2 - (4 n a (1 + b) + 2 a (1 - b)) x
+            + n ((1 - b)^2 + 4 a^2) + 1 - b^2 = 0,
+
+    so psi has at most two critical points; a missing one is put at pi,
+    where it ends an empty piece.  psi(0) = 0 and psi(pi) = (n + 1) pi for
+    |z| < 1, (n - 1) pi for |z| > 1, exactly.
+    """
+    rows = a.size
+    outside = b > 1.0
+    ends = np.full((rows, 4), np.pi)
+    ends[:, 0] = 0.0
+    levels = np.empty((rows, 4))
+    levels[:, 0] = 0.0
+    levels[:, 1:] = np.where(outside, n - 1.0, n + 1.0)[:, None]
+    idx = np.flatnonzero(outside)
+    if idx.size:
+        ao, bo = a[idx], b[idx]
+        c2 = 4.0 * n * bo
+        c1 = -(4.0 * n * ao * (1.0 + bo) + 2.0 * ao * (1.0 - bo))
+        c0 = n * ((1.0 - bo) ** 2 + 4.0 * ao * ao) + (1.0 - bo * bo)
+        disc = c1 * c1 - 4.0 * c2 * c0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+            x = np.stack([q / c2, c0 / q], axis=1)
+            crit = np.where((disc > 0.0)[:, None] & (np.abs(x) < 1.0),
+                            np.arccos(x), np.pi)
+        crit.sort(axis=1)
+        psi = half_phase(n, ao[:, None], bo[:, None], m2[idx, None],
+                          p2[idx, None], crit)[0]
+        ends[idx, 1:3] = crit
+        levels[idx, 1:3] = np.where(crit < np.pi, psi / np.pi, n - 1.0)
+    return ends, levels
+
+
+def band_roots(n, a, b, m2, p2, max_iter):
+    """Real roots y = cos(gamma), 0 < gamma < pi, of the rows with b != 1.
+
+    Every level pi k strictly between the end values of a monotone piece
+    of psi is crossed once on that piece.  Since |theta| <= pi, the
+    crossing also lies in [pi (k - 1) / n, pi k / n] for |z| < 1 and in
+    [pi k / n, pi (k + 1) / n] for |z| > 1; the solve is a safeguarded
+    Newton iteration (``rtsafe`` of *Numerical Recipes*) on that bracket,
+    with Halley's correction of the Newton step by psi'', vectorized over
+    all crossings.  A crossing is accepted when |psi - pi k|
+    is at the round-off bound of ``half_phase`` or the step is below two
+    ulps of gamma.
+
+    Returns
+    -------
+    (y, row) : numpy.ndarray
+        The roots and the row of each, ordered by row, then by piece, then
+        by level.
+    """
+    ends, levels = monotone_pieces(n, a, b, m2, p2)
+    lo_l, hi_l = levels[:, :3].ravel(), levels[:, 1:].ravel()
+    kmin = np.floor(np.minimum(lo_l, hi_l)) + 1.0
+    count = np.maximum(np.ceil(np.maximum(lo_l, hi_l)) - kmin, 0.0)
+    piece = np.repeat(np.arange(lo_l.size), count.astype(np.intp))
+    first = np.cumsum(count) - count
+    k = kmin[piece] + (np.arange(piece.size) - first[piece])
+    row = piece // 3
+    ra, rb, rm, rp = a[row], b[row], m2[row], p2[row]
+    # The level window, widened by a few ulps, inside the piece.
+    shift = np.where(rb > 1.0, 0.0, -1.0)
+    lo = np.maximum(ends[:, :3].ravel()[piece],
+                    (k + shift) * np.pi / n - 4.0 * _EPS)
+    hi = np.minimum(ends[:, 1:].ravel()[piece],
+                    (k + shift + 1.0) * np.pi / n + 4.0 * _EPS)
+    rising = (hi_l > lo_l)[piece]
+    # rtsafe keeps xl where psi < pi k and xh where psi > pi k.
+    xl, xh = np.where(rising, lo, hi), np.where(rising, hi, lo)
+    target = k * np.pi
+    gamma = 0.5 * (lo + hi)
+    dx = np.abs(hi - lo)
+    dx_old = dx.copy()
+    psi, dpsi, bend, noise = half_phase(n, ra, rb, rm, rp, gamma)
+    f = psi - target
+    out = gamma.copy()
+    live = np.flatnonzero(~(np.abs(f) <= noise))
+    # The rows that change, updated in place; the coupling rows and the
+    # target are only re-indexed when crossings are accepted.
+    state = np.stack([xl, xh, gamma, dx, dx_old, f, dpsi, bend])[:, live]
+    ra, rb, rm, rp, target = (c[live] for c in (ra, rb, rm, rp, target))
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        xl, xh, gamma, dx, dx_old, f, dpsi, bend = state
+        # Bisect when Newton would leave the bracket or would not halve
+        # the step before the last one.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / dpsi
+            step = step / (1.0 - 0.5 * step * bend)
+            newton = gamma - step
+            bisect = ~(((newton - xh) * (newton - xl) <= 0.0)
+                       & (np.abs(step + step) <= np.abs(dx_old)))
+        # The names are views of the rows of state: write through them.
+        dx_old[...] = dx
+        dx[...] = np.where(bisect, 0.5 * (xh - xl), step)
+        gamma[...] = np.where(bisect, xl + dx, newton)
+        psi, dpsi[...], bend[...], noise = half_phase(n, ra, rb, rm, rp,
+                                                      gamma)
+        f[...] = psi - target
+        out[live] = gamma
+        moving = ~((np.abs(dx) <= 2.0 * _EPS * gamma) | (np.abs(f) <= noise))
+        below = f < 0.0
+        np.copyto(xl, gamma, where=below)
+        np.copyto(xh, gamma, where=~below)
+        if not moving.all():
+            live, state = live[moving], state[:, moving]
+            ra, rb, rm, rp, target = (c[moving]
+                                      for c in (ra, rb, rm, rp, target))
+    if live.size:
+        raise NoConvergence(
+            f"band root iteration did not converge in {max_iter} steps",
+            best=np.cos(out))
+    return np.cos(out), row
 
 
 GridCritical = namedtuple("GridCritical",

@@ -221,6 +221,28 @@ def test_iteration_budget_raises_with_best():
     solve_spectrum(p, max_iter=20)
 
 
+@pytest.mark.parametrize("max_iter", [-1, True, False, 2.5, 3.0, "3", None])
+def test_max_iter_must_be_an_integer_at_least_zero(max_iter):
+    # -1 read as "did not converge in -1 steps" (NoConvergence, exit code
+    # 2), True as "in True steps", and 2.5 failed inside range().
+    p = ModelParams(n=8, xi=0.4, zeta=0.3)
+    calls = (lambda: solve_spectrum(p, max_iter=max_iter),
+             lambda: sweep_xi(8, 0.3, 0.0, 1.0, 5, max_iter=max_iter),
+             lambda: sweep_zeta(8, 0.4, -1.0, 0.5, 5, max_iter=max_iter))
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match="max_iter must be an integer >= 0, got"):
+            call()
+
+
+def test_max_iter_takes_numpy_integers():
+    p = ModelParams(n=8, xi=0.4, zeta=0.3)
+    expect = solve_spectrum(p, max_iter=20).y_roots
+    got = solve_spectrum(p, max_iter=np.int64(20)).y_roots
+    assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+    assert sweep_xi(8, 0.3, 0.0, 1.0, 5, max_iter=np.int32(20)).n == 8
+
+
 def test_sweep_rows_are_pointwise_solves_bitwise():
     # The grid couplings are bitwise ModelParams.z, and rows never
     # interact, so sweep and spectrum print the same digits.

@@ -14,14 +14,7 @@ from hermitize.spectrum import (_lexsorted_rows, _solve_batch,
 
 import _oracles
 from _oracles import (charpoly_eigenvalues, combo_monomial,
-                      max_pair_distance, tie_conjugate_pairs)
-
-
-def _same_bits(a, b):
-    """Bitwise equality, signed zeros included."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+                      max_pair_distance, same_bits, tie_conjugate_pairs)
 
 
 def _ep_grid(zeta, xi_max, steps):
@@ -251,23 +244,27 @@ def _dense_y(n, z):
     return (2.0 - np.linalg.eigvals(build_hamiltonian(p).dense())) / 2.0
 
 
-@pytest.mark.parametrize("block", [1, 7, spectrum._BLOCK_ROWS])
-def test_solve_batch_matches_whole_row_oracle_bitwise(monkeypatch, block):
-    # The solve in row blocks returns the roots of the whole batch solved
-    # in one call bit for bit (at block 1 every row is solved alone), on
-    # grids that cross exceptional points and, at n = 128, at |z| > 1.
+@pytest.mark.parametrize("rows", [1, 7, pytest.param(None, id="default")])
+def test_solve_batch_matches_whole_row_oracle_bitwise(monkeypatch, rows):
+    # The solve in blocks of 1 row (every row alone), of 7 rows and of the
+    # default max(1, _BLOCK_CROSSINGS // n) rows returns the roots of the
+    # whole batch solved in one call bit for bit, on grids that cross
+    # exceptional points and, at n = 128, at |z| > 1.  At n = 64 the
+    # default splits the grid too.
     cases = [(n, _ep_grid(zeta, 3.0, steps))
              for n, steps in ((2, 300), (3, 300), (6, 300), (8, 300),
-                              (32, 40), (64, 12))
+                              (32, 40), (64, 12), (64, 130))
              for zeta in (0.7, 0.6)]
     cases.append((128, 1.0 / (0.7 - 1j * np.linspace(0.0, 2.0, 3))))
+    assert any(zs.size > spectrum._BLOCK_CROSSINGS // n for n, zs in cases)
     whole = [spectrum._secular_roots(n, zs, 500) for n, zs in cases]
-    monkeypatch.setattr(spectrum, "_BLOCK_ROWS", block)
     for (n, zs), expect in zip(cases, whole):
-        if block == 1 and zs.size > 40:
+        if rows is not None:
+            monkeypatch.setattr(spectrum, "_BLOCK_CROSSINGS", rows * n)
+        if rows == 1 and zs.size > 40:
             zs, expect = zs[::10], expect[::10]
         got = _solve_batch(n, zs)
-        assert _same_bits(got, expect)
+        assert same_bits(got, expect)
         real_rows = np.all(reality_flags(got), axis=1)
         assert n == 128 or (real_rows.any() and not real_rows.all())
 
@@ -332,7 +329,7 @@ def test_non_finite_roots_are_never_returned(n, z):
     assert info.value.best is not None
     # The finite coupling alone solves, as solve_spectrum does.
     alone = _solve_batch(n, [0.5 + 0.3j])
-    assert _same_bits(alone[0], solve_spectrum(
+    assert same_bits(alone[0], solve_spectrum(
         ModelParams(n=n, omega=0.3, rho=-0.5)).y_roots)
 
 
