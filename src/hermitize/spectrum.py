@@ -574,9 +574,11 @@ def _solve_batch(n, zs, max_iter=500):
     """
     zs = np.asarray(zs, dtype=complex)
     rows = max(1, _BLOCK_CROSSINGS // n)
-    return np.concatenate([np.empty((0, n), dtype=complex), *(
-        _secular_roots(n, zs[lo:lo + rows], max_iter)
-        for lo in range(0, zs.size, rows))])
+    # Filled block by block: no list of blocks next to their concatenation.
+    roots = np.empty((zs.size, n), dtype=complex)
+    for lo in range(0, zs.size, rows):
+        roots[lo:lo + rows] = _secular_roots(n, zs[lo:lo + rows], max_iter)
+    return roots
 
 
 @dataclass
