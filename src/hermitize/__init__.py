@@ -9,19 +9,17 @@ space.  The ``hermitize`` console script exposes the same operations.
 """
 
 from .analysis import (ContinuumTable, CriticalResult, LocusBranch,
-                       LocusResult, PositivityResult, RealityClassification,
-                       SweepResult, classify_reality, continuum_convergence,
-                       critical_zeta, endpoint_locus,
+                       LocusResult, PositivityResult, SweepResult,
+                       continuum_convergence, critical_zeta, endpoint_locus,
                        metric_positivity_sweep, sweep_xi, sweep_zeta)
 from .chebyshev import eval_combo
-from .errors import (DegenerateSpectrumWarning, DimensionMismatch,
-                     NoConvergence, SingularParameters)
+from .errors import DimensionMismatch, NoConvergence, SingularParameters
 from .metric import (MetricMatrix, VerificationReport, dieudonne_nullspace,
                      dieudonne_residual, hermitian_eigenvalues, metric_band,
                      metric_band_extended, metric_n3_general,
                      metric_n3_special, metric_n4_special, verify_metric)
 from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
-                    energy_from_y, reparametrize, z_from_xizeta)
+                    energy_from_y, z_from_xizeta)
 from .spectrum import (Spectrum, Wavefunction, eigen_residual,
                        reality_flags, secular_polynomial, solve_spectrum,
                        wavefunction)
@@ -31,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuumTable",
     "CriticalResult",
-    "DegenerateSpectrumWarning",
     "DimensionMismatch",
     "LocusBranch",
     "LocusResult",
@@ -39,7 +36,6 @@ __all__ = [
     "ModelParams",
     "NoConvergence",
     "PositivityResult",
-    "RealityClassification",
     "SingularParameters",
     "Spectrum",
     "SweepResult",
@@ -47,7 +43,6 @@ __all__ = [
     "VerificationReport",
     "Wavefunction",
     "build_hamiltonian",
-    "classify_reality",
     "continuum_convergence",
     "critical_zeta",
     "dieudonne_nullspace",
@@ -64,7 +59,6 @@ __all__ = [
     "metric_n4_special",
     "metric_positivity_sweep",
     "reality_flags",
-    "reparametrize",
     "secular_polynomial",
     "solve_spectrum",
     "sweep_xi",

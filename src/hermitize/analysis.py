@@ -19,13 +19,7 @@ import numpy as np
 from .errors import NoConvergence, SingularParameters
 from .metric import FAMILIES, hermitian_eigenvalues
 from .model import check_size, energy_from_y
-from .spectrum import (_EPS, REALITY_TOL, _check_max_iter, _solve_batch,
-                       reality_flags)
-
-# Two real secular roots closer than this are flagged as a near-merge:
-# the parameter point sits next to a complexification threshold and the
-# real/complex classification is not robust there.
-MERGE_TOL = 1e-4
+from .spectrum import _EPS, _check_max_iter, _solve_batch, reality_flags
 
 
 def _zs_from_grid(xi, zeta):
@@ -49,67 +43,6 @@ def _zs_from_grid(xi, zeta):
     zs.real = (1.0 - zeta) / denom
     zs.imag = xi / denom
     return zs
-
-
-@dataclass
-class RealityClassification:
-    """Reality census of one root set.
-
-    Attributes
-    ----------
-    n_real : int
-    n_complex_pairs : int
-        Non-real roots come in conjugate pairs (real coefficients).
-    near_merge : numpy.ndarray
-        Per-root flag: a real root with another real root closer than
-        ``MERGE_TOL``; the classification is fragile at such points.
-    """
-
-    n_real: int
-    n_complex_pairs: int
-    near_merge: np.ndarray
-
-    @property
-    def all_real(self):
-        return self.n_complex_pairs == 0
-
-
-def classify_reality(y_roots, tol=REALITY_TOL, merge_tol=MERGE_TOL):
-    """Count real roots and conjugate pairs, flagging near-merges.
-
-    Parameters
-    ----------
-    y_roots : array_like
-        Roots of one secular polynomial.
-    tol : float
-        Reality tolerance, scaled by max(1, |y|).
-    merge_tol : float
-        Gap below which two real roots are flagged as nearly merged.
-
-    Returns
-    -------
-    RealityClassification
-    """
-    y = np.asarray(y_roots)
-    real = reality_flags(y, tol)
-    near = np.zeros(y.size, dtype=bool)
-    re_parts = y.real[real]
-    if re_parts.size > 1:
-        srt = np.sort(re_parts)
-        gaps = np.diff(srt) < merge_tol
-        flagged = set()
-        for i, g in enumerate(gaps):
-            if g:
-                flagged.add(srt[i])
-                flagged.add(srt[i + 1])
-        for i in np.flatnonzero(real):
-            if y.real[i] in flagged:
-                near[i] = True
-    n_real = int(np.count_nonzero(real))
-    return RealityClassification(
-        n_real=n_real,
-        n_complex_pairs=int(np.count_nonzero(~real)) // 2,
-        near_merge=near)
 
 
 @dataclass
@@ -700,7 +633,7 @@ def endpoint_locus(n, samples=20, t=None):
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         raise ValueError("t must hold at least one value")
-    if np.any((t < 0.0) | (t > 1.0)):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("parameter values must lie in [0, 1]")
 
     zeta_p = t * 2.0 / (n + 1.0)

@@ -245,7 +245,7 @@ def _cmd_verify(args):
 
 def _cmd_nullspace(args):
     params = ModelParams(n=args.n, **_coupling_kwargs(args))
-    basis = dieudonne_nullspace(params, tol_rank=args.tol_rank)
+    basis = dieudonne_nullspace(params)
     if args.format == "csv":
         rows = []
         for k, element in enumerate(basis):
@@ -259,7 +259,6 @@ def _cmd_nullspace(args):
         _emit_json({
             "n": args.n,
             "params": _params_json(params),
-            "tol_rank": args.tol_rank,
             "dimension": len(basis),
             "elements": [[[_c2(v) for v in row] for row in b.matrix]
                          for b in basis],
@@ -416,7 +415,6 @@ def _build_parser():
     p = subs.add_parser("nullspace",
                         help="all Hermitian intertwiners of one coupling")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol-rank", type=float, default=1e-10)
     _add_coupling_flags(p)
     _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_nullspace)

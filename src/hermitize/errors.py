@@ -1,4 +1,4 @@
-"""Exceptions and warnings shared across the package."""
+"""Exceptions shared across the package."""
 
 
 class SingularParameters(ValueError):
@@ -29,10 +29,3 @@ class NoConvergence(RuntimeError):
 class DimensionMismatch(ValueError):
     """Raised when matrix/vector operands have incompatible shapes."""
 
-
-class DegenerateSpectrumWarning(UserWarning):
-    """Emitted when a numerical nullspace is larger than theory predicts.
-
-    A commutant of dimension above n signals a degenerate spectrum (or a
-    rank tolerance that is too loose for the matrix at hand).
-    """

@@ -20,13 +20,12 @@ matmul residual on the growing families is wrong by many orders of
 magnitude once the band entries get large.
 """
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumWarning, DimensionMismatch
+from .errors import DimensionMismatch
 from .model import TridiagonalHamiltonian, build_hamiltonian, check_size
 
 
@@ -423,61 +422,58 @@ def verify_metric(params, theta):
         positive_definite=bool(eigs[0] > 0.0))
 
 
-def _hermitian_basis(n):
-    """Real basis of the n x n Hermitian matrices, n^2 elements."""
-    mats = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1.0
-            m[j, i] = 1.0
-            mats.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1j
-            m[j, i] = -1j
-            mats.append(m)
-    return mats
+def _hermitian_coordinates(n):
+    """The (n^2, n^2) map from real coordinates to a Hermitian matrix.
 
-
-def _real_nullspace(a, tol_rank):
-    """Nullspace basis of a real matrix by complete-pivot elimination.
-
-    Rank is decided against ``tol_rank`` times the largest pivot; the free
-    columns are completed to basis vectors by back substitution.
-
-    Returns an array of shape (ncols, dim), columns spanning the kernel.
+    The coordinates are the diagonal, then the real and the imaginary
+    part of each upper entry, row by row; column k holds the row-major
+    entries of the k-th unit matrix, so every entry is 0, 1 or +-1j.
     """
-    a = a.astype(float).copy()
-    rows, cols = a.shape
+    iu, ju = np.triu_indices(n, 1)
+    upper, lower = iu * n + ju, ju * n + iu
+    re = n + 2 * np.arange(iu.size)
+    coords = np.zeros((n * n, n * n), dtype=complex)
+    coords[np.arange(n) * (n + 1), np.arange(n)] = 1.0
+    coords[upper, re] = coords[lower, re] = 1.0
+    coords[upper, re + 1] = 1j
+    coords[lower, re + 1] = -1j
+    return coords
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _real_nullspace(a, rank):
+    """Kernel of a real matrix of known rank, by complete-pivot elimination.
+
+    The free columns are completed to basis vectors by back substitution.
+    A pivot below the smallest normal float raises ValueError instead of
+    being divided by; the last pivots of the intertwining system fall
+    like |z|^-3, so this happens past |z| of about 1e100.
+
+    Returns an array of shape (ncols, ncols - rank), columns spanning the
+    kernel.
+    """
+    a = a.copy()
+    cols = a.shape[1]
     col_perm = np.arange(cols)
-    rank = 0
-    first_pivot = None
-    limit = min(rows, cols)
-    while rank < limit:
-        sub = np.abs(a[rank:, rank:])
+    for r in range(rank):
+        sub = np.abs(a[r:, r:])
         i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        pivot = sub[i, j]
-        if first_pivot is None:
-            first_pivot = pivot
-        if first_pivot == 0.0 or pivot <= tol_rank * first_pivot:
-            break
-        i += rank
-        j += rank
-        a[[rank, i], :] = a[[i, rank], :]
-        a[:, [rank, j]] = a[:, [j, rank]]
-        col_perm[[rank, j]] = col_perm[[j, rank]]
-        factors = a[rank + 1:, rank] / a[rank, rank]
-        a[rank + 1:, :] -= factors[:, None] * a[rank, :]
-        a[rank + 1:, rank] = 0.0
-        rank += 1
+        if not sub[i, j] >= _TINY:
+            raise ValueError(
+                f"pivot {r + 1} of {rank} underflows at this coupling "
+                f"({sub[i, j]:g}); |z| is too large for the elimination")
+        i += r
+        j += r
+        a[[r, i], :] = a[[i, r], :]
+        a[:, [r, j]] = a[:, [j, r]]
+        col_perm[[r, j]] = col_perm[[j, r]]
+        factors = a[r + 1:, r] / a[r, r]
+        a[r + 1:, :] -= factors[:, None] * a[r, :]
+        a[r + 1:, r] = 0.0
 
     nfree = cols - rank
-    if nfree == 0:
-        return np.zeros((cols, 0))
     # Permuted solution: x_free = identity, back-substitute the pivot part
     # against U x_piv = -B x_free.
     sol = np.zeros((cols, nfree))
@@ -490,72 +486,49 @@ def _real_nullspace(a, tol_rank):
     return out
 
 
-def dieudonne_nullspace(params, tol_rank=1e-10):
-    """All Hermitian solutions of the intertwining relation, numerically.
+def dieudonne_nullspace(params):
+    """All Hermitian solutions of the intertwining relation.
 
-    Writes Theta in the real Hermitian basis, assembles the linear system
-    vec(H^dag Theta - Theta H) = 0 over the reals and extracts its kernel
-    with complete-pivot elimination.  For a non-degenerate spectrum the
-    solution space has dimension n; a larger kernel triggers a
-    ``DegenerateSpectrumWarning``.
+    Their number is n at every coupling.  The flip J (J_ij = 1 for
+    i + j = n + 1) gives J H J = H^dag, and H is tridiagonal with nonzero
+    hopping, so every eigenvalue has one eigenvector; the solutions are
+    then exactly J p(H) with p real of degree < n (Mostafazadeh, J. Math.
+    Phys. 43, 2002).  Theta is written in n^2 real Hermitian coordinates,
+    and the real system vec(H^dag Theta - Theta H) = 0 of rank n^2 - n is
+    reduced by exactly that many complete pivots, with no cutoff.
 
     Parameters
     ----------
-    params : ModelParams, TridiagonalHamiltonian or numpy.ndarray
-        The operator, or parameters to build it from.  A dense square
-        matrix is accepted so arbitrary operators can be analyzed.
-    tol_rank : float
-        Relative pivot cutoff for the rank decision; must be finite and
-        > 0.
+    params : ModelParams or TridiagonalHamiltonian
+        The operator, or parameters to build it from.
 
     Returns
     -------
     list of MetricMatrix
-        Frobenius-orthonormal basis of the solution space (family
-        "nullspace"; not necessarily positive definite individually).
+        Frobenius-orthonormal basis of the solution space, n elements
+        (family "nullspace"; not necessarily positive definite
+        individually).
     """
-    if not (np.isfinite(tol_rank) and tol_rank > 0.0):
-        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
-    if isinstance(params, TridiagonalHamiltonian):
-        hd = params.dense()
-    elif isinstance(params, (np.ndarray, list)):
-        hd = np.asarray(params, dtype=complex)
-        if hd.ndim != 2 or hd.shape[0] != hd.shape[1]:
-            raise DimensionMismatch("operator must be a square matrix")
-    else:
-        hd = build_hamiltonian(params).dense()
-    n = hd.shape[0]
-    hdag = hd.conj().T
-    basis = _hermitian_basis(n)
-    cols = []
-    for b in basis:
-        c = hdag @ b - b @ hd
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    system = np.column_stack(cols)
-    kernel = _real_nullspace(system, tol_rank)
-    dim = kernel.shape[1]
-    if dim > n:
-        warnings.warn(
-            f"nullspace dimension {dim} exceeds n = {n}: the spectrum is "
-            "degenerate at this parameter point",
-            DegenerateSpectrumWarning, stacklevel=2)
+    h = params if isinstance(params, TridiagonalHamiltonian) \
+        else build_hamiltonian(params)
+    n = h.n
+    hd, eye = h.dense(), np.eye(n)
+    coords = _hermitian_coordinates(n)
+    # Row-major vec(H^dag Theta - Theta H) = (H^dag (x) I - I (x) H^T)
+    # vec(Theta); each entry of the system is an entry of H, or the
+    # difference of two, so it is exact.
+    system = (np.kron(hd.conj().T, eye) - np.kron(eye, hd.T)) @ coords
+    kernel = _real_nullspace(np.concatenate([system.real, system.imag]),
+                             n * n - n)
+    # + 0.0 turns -0.0 into +0.0, so a zero entry prints 0, not -0.
+    raw = (coords @ kernel + 0.0).T.reshape(n, n, n)
 
-    # Combine with real coefficients (keeps exact Hermiticity), then
-    # orthonormalize in the Frobenius inner product with two MGS passes.
-    raw = []
-    for k in range(dim):
-        m = np.zeros((n, n), dtype=complex)
-        for coeff, b in zip(kernel[:, k], basis):
-            if coeff != 0.0:
-                m = m + coeff * b
-        raw.append(m)
+    # Orthonormalize in the Frobenius inner product with two MGS passes.
     ortho = []
     for m in raw:
         for _ in range(2):
             for o in ortho:
                 m = m - np.sum(o.conj() * m).real * o
-        norm = np.linalg.norm(m)
-        if norm > 0.0:
-            ortho.append(m / norm)
+        ortho.append(m / np.linalg.norm(m))
     return [MetricMatrix(n=n, family="nullspace", params={"index": i},
                          matrix=m) for i, m in enumerate(ortho)]

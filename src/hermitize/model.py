@@ -53,27 +53,6 @@ def z_from_xizeta(xi, zeta):
     return complex((1.0 - zeta) / denom, xi / denom)
 
 
-def reparametrize(xi, zeta):
-    """Convert Robin parameters to the Cartesian pair (omega, rho).
-
-    The Cartesian form writes z = 1 + rho + i omega, so
-    omega = xi / ((1 - zeta)^2 + xi^2) and
-    rho = (zeta - zeta^2 - xi^2) / ((1 - zeta)^2 + xi^2).
-
-    Parameters
-    ----------
-    xi, zeta : float
-        Robin coupling parameters.
-
-    Returns
-    -------
-    (float, float)
-        The pair (omega, rho).
-    """
-    z = z_from_xizeta(xi, zeta)
-    return z.imag, z.real - 1.0
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the n-site well with complex endpoint coupling.
@@ -209,6 +188,9 @@ def build_hamiltonian(params):
     -------
     TridiagonalHamiltonian
     """
+    if not isinstance(params, ModelParams):
+        raise TypeError(
+            f"params must be a ModelParams, got {type(params).__name__}")
     bulk = 2.0 if params.convention == "lattice" else 0.0
     return TridiagonalHamiltonian(params.n, params.z, bulk, params.convention)
 

@@ -17,13 +17,18 @@ the earlier band stage of the phase solver, whose bits the lean one keeps.
 ``critical_zeta_whole_grid`` is the earlier
 critical-detuning bisection on a xi grid, whose predicate solves every
 grid point; the closed form must lie at or below its upper bracket end.
+``dieudonne_nullspace_cutoff`` is the earlier nullspace, whose rank is
+decided by a relative pivot cutoff ``tol_rank``; wherever it returns n
+elements, the fixed-rank nullspace returns its basis bit for bit.
 """
 from collections import namedtuple
 
 import numpy as np
 
 from hermitize.analysis import _zs_from_grid
-from hermitize.errors import NoConvergence
+from hermitize.errors import DimensionMismatch, NoConvergence
+from hermitize.metric import MetricMatrix
+from hermitize.model import TridiagonalHamiltonian, build_hamiltonian
 from hermitize.spectrum import (REALITY_TOL, _lexsorted_rows, _solve_batch,
                                 reality_flags)
 
@@ -540,3 +545,137 @@ def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
             hi = mid
     return GridCritical(n=n, value=0.5 * (lo + hi), bracket=(lo, hi),
                         xi_max=xi_max, xi_steps=xi_steps)
+
+
+def hermitian_basis(n):
+    """Real basis of the n x n Hermitian matrices, n^2 elements."""
+    mats = []
+    for i in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[i, i] = 1.0
+        mats.append(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = 1.0
+            m[j, i] = 1.0
+            mats.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = 1j
+            m[j, i] = -1j
+            mats.append(m)
+    return mats
+
+
+def real_nullspace_cutoff(a, tol_rank):
+    """Nullspace basis of a real matrix by complete-pivot elimination.
+
+    Rank is decided against ``tol_rank`` times the largest pivot; the free
+    columns are completed to basis vectors by back substitution.
+
+    Returns an array of shape (ncols, dim), columns spanning the kernel.
+    """
+    a = a.astype(float).copy()
+    rows, cols = a.shape
+    col_perm = np.arange(cols)
+    rank = 0
+    first_pivot = None
+    limit = min(rows, cols)
+    while rank < limit:
+        sub = np.abs(a[rank:, rank:])
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        pivot = sub[i, j]
+        if first_pivot is None:
+            first_pivot = pivot
+        if first_pivot == 0.0 or pivot <= tol_rank * first_pivot:
+            break
+        i += rank
+        j += rank
+        a[[rank, i], :] = a[[i, rank], :]
+        a[:, [rank, j]] = a[:, [j, rank]]
+        col_perm[[rank, j]] = col_perm[[j, rank]]
+        factors = a[rank + 1:, rank] / a[rank, rank]
+        a[rank + 1:, :] -= factors[:, None] * a[rank, :]
+        a[rank + 1:, rank] = 0.0
+        rank += 1
+
+    nfree = cols - rank
+    if nfree == 0:
+        return np.zeros((cols, 0))
+    # Permuted solution: x_free = identity, back-substitute the pivot part
+    # against U x_piv = -B x_free.
+    sol = np.zeros((cols, nfree))
+    sol[rank:, :] = np.eye(nfree)
+    for r in range(rank - 1, -1, -1):
+        rhs = -a[r, rank:] @ sol[rank:, :] - a[r, r + 1:rank] @ sol[r + 1:rank, :]
+        sol[r, :] = rhs / a[r, r]
+    out = np.zeros_like(sol)
+    out[col_perm, :] = sol
+    return out
+
+
+def dieudonne_nullspace_cutoff(params, tol_rank=1e-10):
+    """All Hermitian solutions of the intertwining relation, numerically.
+
+    Writes Theta in the real Hermitian basis, assembles the linear system
+    vec(H^dag Theta - Theta H) = 0 over the reals and extracts its kernel
+    with complete-pivot elimination.  The solution space has dimension n
+    at every coupling, but the cutoff can return more elements: at
+    strong real couplings the last true pivot falls below
+    ``tol_rank`` times the first (n + 1 elements at n = 6, z = 100).
+
+    Parameters
+    ----------
+    params : ModelParams, TridiagonalHamiltonian or numpy.ndarray
+        The operator, or parameters to build it from.  A dense square
+        matrix is accepted so arbitrary operators can be analyzed.
+    tol_rank : float
+        Relative pivot cutoff for the rank decision; must be finite and
+        > 0.
+
+    Returns
+    -------
+    list of MetricMatrix
+        Frobenius-orthonormal basis of the solution space (family
+        "nullspace"; not necessarily positive definite individually).
+    """
+    if not (np.isfinite(tol_rank) and tol_rank > 0.0):
+        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
+    if isinstance(params, TridiagonalHamiltonian):
+        hd = params.dense()
+    elif isinstance(params, (np.ndarray, list)):
+        hd = np.asarray(params, dtype=complex)
+        if hd.ndim != 2 or hd.shape[0] != hd.shape[1]:
+            raise DimensionMismatch("operator must be a square matrix")
+    else:
+        hd = build_hamiltonian(params).dense()
+    n = hd.shape[0]
+    hdag = hd.conj().T
+    basis = hermitian_basis(n)
+    cols = []
+    for b in basis:
+        c = hdag @ b - b @ hd
+        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
+    system = np.column_stack(cols)
+    kernel = real_nullspace_cutoff(system, tol_rank)
+    dim = kernel.shape[1]
+
+    # Combine with real coefficients (keeps exact Hermiticity), then
+    # orthonormalize in the Frobenius inner product with two MGS passes.
+    raw = []
+    for k in range(dim):
+        m = np.zeros((n, n), dtype=complex)
+        for coeff, b in zip(kernel[:, k], basis):
+            if coeff != 0.0:
+                m = m + coeff * b
+        raw.append(m)
+    ortho = []
+    for m in raw:
+        for _ in range(2):
+            for o in ortho:
+                m = m - np.sum(o.conj() * m).real * o
+        norm = np.linalg.norm(m)
+        if norm > 0.0:
+            ortho.append(m / norm)
+    return [MetricMatrix(n=n, family="nullspace", params={"index": i},
+                         matrix=m) for i, m in enumerate(ortho)]

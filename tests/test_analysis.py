@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from hermitize import analysis, spectrum
-from hermitize.analysis import (classify_reality, continuum_convergence,
-                                critical_zeta, endpoint_locus,
-                                metric_positivity_sweep, sweep_xi,
-                                sweep_zeta)
+from hermitize.analysis import (continuum_convergence, critical_zeta,
+                                endpoint_locus, metric_positivity_sweep,
+                                sweep_xi, sweep_zeta)
 from hermitize.errors import SingularParameters
 from hermitize.metric import metric_band_extended, metric_n3_general
 from hermitize.model import ModelParams, build_hamiltonian
@@ -17,20 +16,6 @@ from hermitize.spectrum import (_EPS, _solve_batch, reality_flags,
                                 solve_spectrum)
 
 from _oracles import critical_zeta_whole_grid, max_pair_distance
-
-
-def test_classify_reality_counts_and_merge_flags():
-    roots = np.array([0.2, 0.70002, 0.70006, 1.5 + 0.3j, 1.5 - 0.3j])
-    c = classify_reality(roots)
-    assert c.n_real == 3
-    assert c.n_complex_pairs == 1
-    assert not c.all_real
-    assert c.near_merge.tolist() == [False, True, True, False, False]
-
-
-def test_classify_reality_all_real_far_apart():
-    c = classify_reality(np.array([0.1, 0.5, 0.9]))
-    assert c.all_real and not c.near_merge.any()
 
 
 def test_sweep_xi_matches_pointwise_solves():
@@ -400,3 +385,10 @@ def test_endpoint_locus_geometry():
         endpoint_locus(5, t=np.array([-0.1]))
     with pytest.raises(ValueError, match="t must hold at least one value"):
         endpoint_locus(5, t=[])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_endpoint_locus_rejects_non_finite_parameters(bad):
+    # (t < 0) | (t > 1) is False for nan, which used to print a nan row.
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        endpoint_locus(3, t=[bad, 0.5])

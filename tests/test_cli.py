@@ -366,11 +366,22 @@ def test_sizes_below_two_sites_are_usage_errors(capsys, argv):
     assert "n must be an integer >= 2" in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_nullspace_rejects_bad_rank_tolerance(capsys, value):
+def test_nullspace_rank_tolerance_flag_is_gone(capsys):
+    # The dimension is n at every coupling, so there is no cutoff to set.
     code, out, err = _run(capsys, "nullspace", "--n", "3", "--xi", "0.5",
-                          "--zeta", "0.2", f"--tol-rank={value}")
-    assert code == 1 and out == "" and "tol_rank" in err
+                          "--zeta", "0.2", "--tol-rank", "1e-10")
+    assert code == 1 and out == "" and "--tol-rank" in err
+
+
+def test_nullspace_dimension_is_n_at_a_strong_coupling(capsys):
+    # z = 100: the rank cutoff 1e-10 printed dimension 7 and a warning
+    # that the spectrum was degenerate.
+    code, out, err = _run(capsys, "nullspace", "--n", "6", "--xi", "0",
+                          "--zeta", "0.99")
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert doc["dimension"] == 6 and len(doc["elements"]) == 6
+    assert "tol_rank" not in doc
 
 
 def test_cli_import_leaves_out_the_thread_pool_modules():

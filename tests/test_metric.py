@@ -1,18 +1,21 @@
-import warnings
+import cmath
+import functools
 
 import numpy as np
 import pytest
 
-from hermitize.analysis import metric_positivity_sweep
-from hermitize.errors import DegenerateSpectrumWarning, DimensionMismatch
+from hermitize.analysis import critical_zeta, metric_positivity_sweep
+from hermitize.errors import DimensionMismatch
 from hermitize.metric import (FAMILIES, MetricMatrix, dieudonne_nullspace,
                               dieudonne_residual, hermitian_eigenvalues,
                               metric_band, metric_band_extended,
                               metric_n3_general, metric_n3_special,
                               metric_n4_special, verify_metric)
-from hermitize.model import ModelParams, build_hamiltonian
+from hermitize.model import (ModelParams, TridiagonalHamiltonian,
+                             build_hamiltonian, z_from_xizeta)
 
-from _oracles import metric_band_recurrence
+from _oracles import (dieudonne_nullspace_cutoff, metric_band_recurrence,
+                      same_bits)
 
 
 def _h(n, omega):
@@ -194,32 +197,80 @@ def test_nullspace_dimension_and_membership():
         assert np.linalg.norm(proj - theta) < 1e-10 * np.linalg.norm(theta)
 
 
-def test_nullspace_accepts_dense_and_warns_on_degeneracy():
-    with pytest.warns(DegenerateSpectrumWarning):
-        basis = dieudonne_nullspace(np.zeros((2, 2)))
-    assert len(basis) == 4
-    with pytest.raises(DimensionMismatch):
-        dieudonne_nullspace(np.zeros((2, 3)))
+def _nullspace_census(n):
+    """Couplings z at size n: generic |z| <= 3, z = 0, |z| = 1, real,
+    complex and nearly real z of modulus 10, 100 and 1e3, and the EP that
+    ``critical_zeta`` returns."""
+    rng = np.random.default_rng(100 + n)
+    zs = [0j, 1 + 0j, 1j, cmath.exp(0.7j)]
+    zs += [3.0 * rng.random() * cmath.exp(2j * np.pi * rng.random())
+           for _ in range(2)]
+    for m in (10.0, 100.0, 1e3):
+        zs += [complex(m), m * cmath.exp(2.2j), -m * cmath.exp(1e-12j)]
+    ep = critical_zeta(n)
+    zs.append(z_from_xizeta(ep.ep_xi, ep.value))
+    return zs
 
 
-def test_nullspace_rank_tolerance_effect():
-    # An absurdly loose cutoff collapses the numerical rank and inflates
-    # the kernel; the call must still return orthonormal elements.
-    p = ModelParams(n=3, omega=0.2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateSpectrumWarning)
-        loose = dieudonne_nullspace(p, tol_rank=1.0)
-    assert len(loose) >= 3
+@functools.cache
+def _nullspace_at(n, z):
+    return dieudonne_nullspace(TridiagonalHamiltonian(n, z, 2.0, "lattice"))
 
 
-@pytest.mark.parametrize("tol_rank", [0.0, -1.0, np.nan, np.inf])
-def test_nullspace_rejects_bad_rank_tolerance(tol_rank):
-    # At (n, xi, zeta) = (3, 0.5, 0.2) the dimension is 3; a cutoff of 0
-    # used to report 2 and a negative or nan one 0, without an error.
-    with pytest.raises(ValueError, match="tol_rank"):
-        dieudonne_nullspace(ModelParams(n=3, xi=0.5, zeta=0.2),
-                            tol_rank=tol_rank)
-    assert len(dieudonne_nullspace(ModelParams(n=3, xi=0.5, zeta=0.2))) == 3
+def _check_intertwiner_basis(h, basis):
+    assert len(basis) == h.n
+    for m in basis:
+        assert np.array_equal(m.matrix, m.matrix.conj().T)
+        assert dieudonne_residual(h, m) <= 1e-14
+    flat = np.array([m.matrix.ravel() for m in basis])
+    assert np.abs(flat.conj() @ flat.T - np.eye(h.n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12, 16])
+def test_nullspace_has_n_orthonormal_intertwiners_on_the_census(n):
+    # J H J = H^dag and a nonderogatory H make the dimension n everywhere.
+    for z in _nullspace_census(n):
+        h = TridiagonalHamiltonian(n, z, 2.0, "lattice")
+        _check_intertwiner_basis(h, _nullspace_at(n, z))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12, 16])
+def test_nullspace_is_the_cutoff_basis_bit_for_bit(n):
+    # Same system, same pivots: wherever the earlier rank cutoff found n
+    # elements, every value and every sign of zero agrees.
+    compared = 0
+    for z in _nullspace_census(n):
+        oracle = dieudonne_nullspace_cutoff(
+            TridiagonalHamiltonian(n, z, 2.0, "lattice"))
+        if len(oracle) != n:
+            continue
+        compared += 1
+        for new, old in zip(_nullspace_at(n, z), oracle):
+            assert same_bits(new.matrix, old.matrix)
+    assert compared >= 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, z", [(6, 100 + 0j), (8, 1e3 + 0j),
+                                  (8, 30 + 1e-12j), (16, 10 + 0j)])
+def test_nullspace_dimension_at_strong_couplings(n, z):
+    # The rank cutoff 1e-10 returned n + 1 or n + 2 elements here, one of
+    # them with a residual of 1.4e-8 at (6, 100), and warned of a
+    # degenerate spectrum that is not degenerate.
+    p = ModelParams(n=n, omega=z.imag, rho=z.real - 1.0)
+    assert p.z == z
+    _check_intertwiner_basis(build_hamiltonian(p), dieudonne_nullspace(p))
+
+
+def test_nullspace_rejects_a_dense_matrix():
+    with pytest.raises(TypeError, match="ModelParams, got ndarray"):
+        dieudonne_nullspace(np.zeros((2, 2)))
+
+
+def test_nullspace_reports_an_underflowing_pivot():
+    # The last pivots fall like |z|^-3; a subnormal one is not divided by.
+    with pytest.raises(ValueError, match="underflows"):
+        dieudonne_nullspace(ModelParams(n=6, omega=0.0, rho=1e150))
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -3,8 +3,7 @@ import pytest
 
 from hermitize.errors import SingularParameters
 from hermitize.model import (ModelParams, TridiagonalHamiltonian,
-                             build_hamiltonian, energy_from_y, reparametrize,
-                             z_from_xizeta)
+                             build_hamiltonian, energy_from_y, z_from_xizeta)
 
 
 def test_z_map_hand_values():
@@ -21,19 +20,9 @@ def test_z_map_pole_raises():
         z_from_xizeta(0.0, 1.0)
 
 
-def test_reparametrize_consistent_with_z():
-    for xi, zeta in [(1.0, 0.0), (0.3, 0.2), (-0.7, 0.9), (2.0, 1.0)]:
-        omega, rho = reparametrize(xi, zeta)
-        z = z_from_xizeta(xi, zeta)
-        assert omega == pytest.approx(z.imag, abs=1e-15)
-        assert rho == pytest.approx(z.real - 1.0, abs=1e-15)
-    assert reparametrize(1.0, 0.0) == pytest.approx((0.5, -0.5))
-
-
 def test_params_two_styles_agree():
     p1 = ModelParams(n=5, xi=0.4, zeta=0.1)
-    omega, rho = reparametrize(0.4, 0.1)
-    p2 = ModelParams(n=5, omega=omega, rho=rho)
+    p2 = ModelParams(n=5, omega=p1.z.imag, rho=p1.z.real - 1.0)
     assert p1.z == pytest.approx(p2.z, abs=1e-15)
     assert p1.coupling_style == "xizeta"
     assert p2.coupling_style == "omega"
