@@ -366,10 +366,12 @@ def test_sizes_below_two_sites_are_usage_errors(capsys, argv):
     assert "n must be an integer >= 2" in err
 
 
-def test_nullspace_rank_tolerance_flag_is_gone(capsys):
-    # The dimension is n at every coupling, so there is no cutoff to set.
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e-10"])
+def test_nullspace_rejects_bad_rank_tolerance(capsys, value):
+    # The dimension is n at every coupling, so there is no cutoff to set:
+    # any --tol-rank, valid once or not, is a usage error.
     code, out, err = _run(capsys, "nullspace", "--n", "3", "--xi", "0.5",
-                          "--zeta", "0.2", "--tol-rank", "1e-10")
+                          "--zeta", "0.2", f"--tol-rank={value}")
     assert code == 1 and out == "" and "--tol-rank" in err
 
 
