@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularParameters
 from .metric import FAMILIES, hermitian_eigenvalues
-from .model import check_size, energy_from_y
+from .model import check_size, energy_from_y, is_integer
 from .spectrum import _EPS, _check_max_iter, _solve_batch, reality_flags
 
 
@@ -185,7 +185,7 @@ class CriticalResult:
 
 
 def _check_count(name, value):
-    if value < 1:
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
@@ -561,7 +561,7 @@ def continuum_convergence(ms, levels=2):
     Parameters
     ----------
     ms : sequence of int
-        Half-size parameters, each >= levels.
+        Half-size parameters, at least one, each an integer >= levels.
     levels : int
         Number of low levels to tabulate, >= 1.
 
@@ -570,6 +570,11 @@ def continuum_convergence(ms, levels=2):
     ContinuumTable
     """
     _check_count("levels", levels)
+    ms = list(ms)
+    if not ms:
+        raise ValueError("ms must name at least one size")
+    if not all(is_integer(m) for m in ms):
+        raise ValueError(f"each M must be an integer, got {ms}")
     ms = [int(m) for m in ms]
     if any(m < levels for m in ms):
         raise ValueError("each M must be at least the number of levels")

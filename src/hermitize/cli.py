@@ -6,12 +6,20 @@ significant digits, line endings are LF, and rows follow the documented
 column order, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 usage error, 2 iteration failure
-(NoConvergence), 3 singular coupling parameters.
+(NoConvergence), 3 singular coupling parameters, 141 stdout or stderr
+closed by the reader.
+
+``run`` is the program entry (console script and ``python -m``); it ends
+the process without interpreter teardown.  ``main`` is the in-process
+entry and returns the exit code.
 """
 
 import argparse
+import errno
 import json
+import os
 import re
+import signal
 import sys
 
 from .analysis import (_check_count, _check_tolerance, continuum_convergence,
@@ -482,5 +490,33 @@ def main(argv=None):
         return 1
 
 
+def _raise_broken_pipe(signum, frame):
+    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def run(argv=None):
+    """Program entry: run ``main``, flush, and end the process.
+
+    The process ends with ``os._exit``: module teardown and the last
+    garbage collection, which only discard objects, do not run, and
+    neither do ``atexit`` handlers.  ``SystemExit`` (``--help``) and
+    uncaught exceptions leave through the normal interpreter exit.
+
+    A reader that closes the pipe early ends the call with status 141
+    (128 + SIGPIPE) and nothing more on stderr.  Python ignores SIGPIPE,
+    and a large write that the reader cuts short returns without error
+    and drops the rest, so SIGPIPE raises BrokenPipeError here.
+    """
+    if hasattr(signal, "SIGPIPE"):  # absent on Windows
+        signal.signal(signal.SIGPIPE, _raise_broken_pipe)
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(141)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -16,9 +16,15 @@ from .errors import SingularParameters
 _CONVENTIONS = ("lattice", "shifted")
 
 
+def is_integer(value):
+    """True for an int or a numpy integer; a bool is not a size or count."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
+
+
 def check_size(n):
     """Raise ValueError unless n is an integer >= 2, the shortest chain."""
-    if int(n) != n or n < 2:
+    if not is_integer(n) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
 
 

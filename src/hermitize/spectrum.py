@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
 from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
-                    energy_from_y)
+                    energy_from_y, is_integer)
 
 _EPS = np.finfo(float).eps
 
@@ -116,8 +116,7 @@ def secular_polynomial(params):
 
 def _check_max_iter(max_iter):
     """Raise ValueError unless the iteration budget is an integer >= 0."""
-    if (isinstance(max_iter, bool)
-            or not isinstance(max_iter, (int, np.integer)) or max_iter < 0):
+    if not is_integer(max_iter) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter}")
 
 

@@ -58,12 +58,35 @@ def test_sweep_thread_count_does_not_change_results():
         assert np.array_equal(whole, chunked)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2.5])
+@pytest.mark.parametrize("n", [0, 1, 2.5, 3.0, True])
 def test_sweeps_and_loci_reject_sizes_below_two_sites(n):
+    # An integral float or a bool is not a size: it used to pass the check
+    # and fail deep inside the solver, or be echoed back as n = 3.0.
     for call in (lambda: sweep_xi(n, 0.3, 0.0, 1.0, 4),
                  lambda: sweep_zeta(n, 0.3, 0.0, 0.5, 4),
-                 lambda: endpoint_locus(n)):
+                 lambda: endpoint_locus(n),
+                 lambda: critical_zeta(n),
+                 lambda: metric_positivity_sweep("band", n, -1.0, 1.0, 5),
+                 lambda: ModelParams(n=n, xi=0.2, zeta=0.1)):
         with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            call()
+
+
+def test_sizes_and_counts_take_numpy_integers():
+    n, steps = np.int64(4), np.int32(3)
+    got = sweep_xi(n, 0.3, 0.0, 1.0, steps)
+    want = sweep_xi(4, 0.3, 0.0, 1.0, 3)
+    assert np.array_equal(got.y_roots, want.y_roots)
+    assert critical_zeta(np.int64(6)).value == critical_zeta(6).value
+
+
+@pytest.mark.parametrize("steps", [0, 2.5, 3.0, True])
+def test_grids_reject_steps_that_are_not_positive_integers(steps):
+    for call in (lambda: sweep_xi(4, 0.3, 0.0, 1.0, steps),
+                 lambda: sweep_zeta(4, 0.3, 0.0, 0.5, steps),
+                 lambda: metric_positivity_sweep("band", 4, -1.0, 1.0, steps),
+                 lambda: endpoint_locus(4, samples=steps)):
+        with pytest.raises(ValueError, match=r"(steps|samples) must be >= 1"):
             call()
 
 
@@ -354,6 +377,16 @@ def test_continuum_richardson_requires_doubling():
         table.richardson()
     with pytest.raises(ValueError):
         continuum_convergence([1], levels=2)
+
+
+@pytest.mark.parametrize("ms, match", [
+    ([2.5, 5], "must be an integer"), ([4.0, 8], "must be an integer"),
+    ([True], "must be an integer"), ([], "at least one size")])
+def test_continuum_rejects_sizes_that_are_not_integers(ms, match):
+    # [2.5, 5] was truncated to M = 2, True taken as M = 1, and an empty
+    # table failed later in richardson() with an IndexError.
+    with pytest.raises(ValueError, match=match):
+        continuum_convergence(ms, levels=1)
 
 
 def test_continuum_extrapolation_hits_box_levels():

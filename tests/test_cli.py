@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -212,14 +213,21 @@ def test_negative_non_finite_values_reach_the_finiteness_check(capsys, argv,
     assert f"{flag} must be finite" in err
 
 
-def _run_python(*args):
-    # A fresh interpreter with a timeout, so a bisection that never ends
-    # fails the test instead of hanging the suite.
+def _python_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # Block-buffered stdout, a shell's default, so that output left in a
+    # buffer at exit would show as missing.
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run_python(*args, text=True):
+    # A fresh interpreter with a timeout, so a bisection that never ends
+    # fails the test instead of hanging the suite.
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=text, env=_python_env(), timeout=60)
 
 
 def _run_process(*argv):
@@ -427,3 +435,82 @@ def test_fixed_size_families_at_huge_coupling(capsys, command, family, n,
               else [payload["min_metric_eigenvalue"],
                     payload["dieudonne_residual"]])
     assert np.all(np.isfinite(values))
+
+
+def _console_script_entry():
+    # The "module:function" that [project.scripts] names for hermitize.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        match = re.search(r'^hermitize = "([\w.]+):(\w+)"$', fh.read(),
+                          re.MULTILINE)
+    return match.group(1), match.group(2)
+
+
+def _run_console_script(*argv):
+    # What the installed wrapper does: sys.exit(<entry>()).
+    module, func = _console_script_entry()
+    return _run_python("-c", f"import sys; from {module} import {func}; "
+                       f"sys.exit({func}())", *argv, text=False)
+
+
+_SWEEP_ARGV = ("sweep", "--n", "8", "--axis", "xi", "--min", "0", "--max",
+               "3", "--steps", "2000", "--zeta", "0.2")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("critical", "--n", "6"), 0),
+    (("spectrum", "--n", "1", "--omega", "0.5"), 1),
+    (("spectrum", "--n", "8", "--omega", "1e154", "--rho", "1e154"), 2),
+    (("spectrum", "--n", "4", "--xi", "0", "--zeta", "1"), 3),
+], ids=["ok", "usage", "no-convergence", "singular"])
+def test_program_entry_prints_what_main_prints(capsys, argv, code):
+    # The program entry ends the process without interpreter teardown;
+    # stdout, stderr and the status must still be those of main().
+    proc = _run_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _run(capsys, *argv)
+    assert proc.returncode == code
+
+
+def test_program_entry_leaves_the_complete_out_file(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = _run_process(*_SWEEP_ARGV, "--out", str(out))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    code, want, _ = _run(capsys, *_SWEEP_ARGV)
+    assert code == 0 and out.read_bytes() == want.encode()
+
+
+def test_console_script_is_the_program_entry():
+    assert _console_script_entry() == ("hermitize.cli", "run")
+
+
+@pytest.mark.parametrize("argv", [
+    ("critical", "--n", "6"),
+    ("spectrum", "--n", "5", "--xi", "0.4", "--zeta", "0.3", "--format",
+     "json"),
+    ("spectrum", "--n", "4", "--xi", "0", "--zeta", "1"),
+], ids=["critical", "spectrum-json", "singular"])
+def test_console_script_and_python_m_give_identical_bytes(argv):
+    script = _run_console_script(*argv)
+    module = _run_python("-m", "hermitize.cli", *argv, text=False)
+    assert (script.returncode, script.stdout, script.stderr) == (
+        module.returncode, module.stdout, module.stderr)
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_output_pipe_ends_with_141_and_no_traceback(lines_read):
+    # The reader closes before the first write, or after one line while
+    # the output is still being written: either way the writer ends as a
+    # shell reports one killed by SIGPIPE, 128 + 13, with nothing on
+    # stderr.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hermitize.cli", *_SWEEP_ARGV],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env())
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"axis,index,re_E,im_E,is_real\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+    finally:
+        proc.kill()
+        proc.wait()
