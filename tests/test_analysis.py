@@ -381,7 +381,8 @@ def test_continuum_richardson_requires_doubling():
 
 @pytest.mark.parametrize("ms, match", [
     ([2.5, 5], "must be an integer"), ([4.0, 8], "must be an integer"),
-    ([True], "must be an integer"), ([], "at least one size")])
+    ([True], "must be an integer"), ([], "at least one size")],
+    ids=["2.5", "4.0", "True", "empty"])
 def test_continuum_rejects_sizes_that_are_not_integers(ms, match):
     # [2.5, 5] was truncated to M = 2, True taken as M = 1, and an empty
     # table failed later in richardson() with an IndexError.
