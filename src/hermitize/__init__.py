@@ -8,62 +8,47 @@ point exactness, and maps out reality and positivity domains in parameter
 space.  The ``hermitize`` console script exposes the same operations.
 """
 
-from .analysis import (ContinuumTable, CriticalResult, LocusBranch,
-                       LocusResult, PositivityResult, SweepResult,
-                       continuum_convergence, critical_zeta, endpoint_locus,
-                       metric_positivity_sweep, sweep_xi, sweep_zeta)
-from .chebyshev import eval_combo
-from .errors import DimensionMismatch, NoConvergence, SingularParameters
-from .metric import (MetricMatrix, VerificationReport, dieudonne_nullspace,
-                     dieudonne_residual, hermitian_eigenvalues, metric_band,
-                     metric_band_extended, metric_n3_general,
-                     metric_n3_special, metric_n4_special, verify_metric)
-from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
-                    energy_from_y, z_from_xizeta)
-from .spectrum import (Spectrum, Wavefunction, eigen_residual,
-                       reality_flags, secular_polynomial, solve_spectrum,
-                       wavefunction)
+import importlib
+
+# Each public name and the submodule that defines it.  The names resolve
+# on first use (PEP 562), so ``import hermitize`` loads no numpy; the
+# first numeric name pays for it.
+_SOURCES = {
+    "analysis": ("ContinuumTable", "LocusBranch", "LocusResult",
+                 "PositivityResult", "SweepResult", "continuum_convergence",
+                 "endpoint_locus", "metric_positivity_sweep", "sweep_xi",
+                 "sweep_zeta"),
+    "chebyshev": ("eval_combo",),
+    "critical": ("CriticalResult", "critical_zeta"),
+    "errors": ("DimensionMismatch", "NoConvergence", "SingularParameters"),
+    "metric": ("MetricMatrix", "VerificationReport", "dieudonne_nullspace",
+               "dieudonne_residual", "hermitian_eigenvalues", "metric_band",
+               "metric_band_extended", "metric_n3_general",
+               "metric_n3_special", "metric_n4_special", "verify_metric"),
+    "model": ("ModelParams", "TridiagonalHamiltonian", "build_hamiltonian",
+              "energy_from_y", "z_from_xizeta"),
+    "spectrum": ("Spectrum", "Wavefunction", "eigen_residual",
+                 "reality_flags", "secular_polynomial", "solve_spectrum",
+                 "wavefunction"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuumTable",
-    "CriticalResult",
-    "DimensionMismatch",
-    "LocusBranch",
-    "LocusResult",
-    "MetricMatrix",
-    "ModelParams",
-    "NoConvergence",
-    "PositivityResult",
-    "SingularParameters",
-    "Spectrum",
-    "SweepResult",
-    "TridiagonalHamiltonian",
-    "VerificationReport",
-    "Wavefunction",
-    "build_hamiltonian",
-    "continuum_convergence",
-    "critical_zeta",
-    "dieudonne_nullspace",
-    "dieudonne_residual",
-    "eigen_residual",
-    "endpoint_locus",
-    "energy_from_y",
-    "eval_combo",
-    "hermitian_eigenvalues",
-    "metric_band",
-    "metric_band_extended",
-    "metric_n3_general",
-    "metric_n3_special",
-    "metric_n4_special",
-    "metric_positivity_sweep",
-    "reality_flags",
-    "secular_polynomial",
-    "solve_spectrum",
-    "sweep_xi",
-    "sweep_zeta",
-    "verify_metric",
-    "wavefunction",
-    "z_from_xizeta",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _SOURCES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,9 +5,9 @@ Every subcommand prints CSV or JSON (``--format``), to stdout or to
 significant digits, line endings are LF, and rows follow the documented
 column order, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 iteration failure
-(NoConvergence), 3 singular coupling parameters, 141 stdout or stderr
-closed by the reader.
+Exit codes: 0 success, 1 usage error or an ``--out`` file that cannot
+be written, 2 iteration failure (NoConvergence), 3 singular coupling
+parameters, 141 stdout or stderr closed by the reader.
 
 ``run`` is the program entry (console script and ``python -m``); it ends
 the process without interpreter teardown.  ``main`` is the in-process
@@ -22,13 +22,13 @@ import re
 import signal
 import sys
 
-from .analysis import (_check_count, _check_tolerance, continuum_convergence,
-                       critical_zeta, endpoint_locus, sweep_xi, sweep_zeta)
+# Only numpy-free modules here: each command imports the numeric module it
+# needs after its own checks, so a call that fails before any solve, and
+# ``critical`` in closed form, never load numpy.
+from .critical import critical_zeta
 from .errors import NoConvergence, SingularParameters
-from .metric import (FAMILIES, dieudonne_nullspace, hermitian_eigenvalues,
-                     verify_metric)
-from .model import ModelParams
-from .spectrum import solve_spectrum, wavefunction
+from .families import FAMILIES
+from .model import ModelParams, _check_count, _check_tolerance
 
 _SPECTRAL_HEADER = ("axis", "index", "re_E", "im_E", "is_real")
 _EIGEN_HEADER = ("axis", "index", "eigenvalue")
@@ -65,8 +65,11 @@ def _g(x):
 
 def _emit(text, out):
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -147,6 +150,8 @@ def _axis_value(params):
 def _cmd_spectrum(args):
     params = ModelParams(n=args.n, convention=args.convention,
                          **_coupling_kwargs(args))
+    from .spectrum import solve_spectrum
+
     spec = solve_spectrum(params)
     if args.format == "csv":
         axis = _g(_axis_value(params))
@@ -171,6 +176,8 @@ def _cmd_wavefn(args):
                          **_coupling_kwargs(args))
     if not 0 <= args.index < params.n:
         raise _UsageError(f"--index must be in [0, {params.n - 1}]")
+    from .spectrum import solve_spectrum, wavefunction
+
     spec = solve_spectrum(params)
     wf = wavefunction(params, spec.y_roots[args.index])
     if args.format == "csv":
@@ -201,6 +208,8 @@ def _build_family(args):
 
 def _cmd_metric(args):
     family, theta = _build_family(args)
+    from .metric import hermitian_eigenvalues
+
     eigs = hermitian_eigenvalues(theta)
     if args.format == "csv":
         axis = _g(theta.params[family.swept])
@@ -222,6 +231,9 @@ def _cmd_verify(args):
     family, theta = _build_family(args)
     params = ModelParams(n=args.n, **{family.swept: theta.params[family.swept],
                                       family.held: 0.0})
+    from .metric import verify_metric
+    from .spectrum import solve_spectrum
+
     report = verify_metric(params, theta)
     spec = solve_spectrum(params, with_wavefunctions=True)
     max_res = max(w.residual for w in spec.wavefunctions)
@@ -253,6 +265,8 @@ def _cmd_verify(args):
 
 def _cmd_nullspace(args):
     params = ModelParams(n=args.n, **_coupling_kwargs(args))
+    from .metric import dieudonne_nullspace
+
     basis = dieudonne_nullspace(params)
     if args.format == "csv":
         rows = []
@@ -280,6 +294,8 @@ def _cmd_sweep(args):
             raise _UsageError("sweep over xi needs a fixed --zeta")
         if args.xi is not None:
             raise _UsageError("--xi conflicts with --axis xi")
+        from .analysis import sweep_xi
+
         result = sweep_xi(args.n, args.zeta, args.min, args.max, args.steps,
                           convention=args.convention)
     else:
@@ -287,6 +303,8 @@ def _cmd_sweep(args):
             raise _UsageError("sweep over zeta needs a fixed --xi")
         if args.zeta is not None:
             raise _UsageError("--zeta conflicts with --axis zeta")
+        from .analysis import sweep_zeta
+
         result = sweep_zeta(args.n, args.xi, args.min, args.max, args.steps,
                             convention=args.convention)
     if args.format == "csv":
@@ -342,6 +360,8 @@ def _cmd_continuum(args):
         raise _UsageError("--m must be a comma-separated integer list")
     if not ms:
         raise _UsageError("--m must name at least one size")
+    from .analysis import continuum_convergence
+
     table = continuum_convergence(ms, levels=args.levels)
     doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
     if args.format == "csv":
@@ -367,6 +387,8 @@ def _cmd_continuum(args):
 
 
 def _cmd_locus(args):
+    from .analysis import endpoint_locus
+
     result = endpoint_locus(args.n, samples=args.samples)
     if args.format == "csv":
         rows = []

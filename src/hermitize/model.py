@@ -5,11 +5,15 @@ two endpoints: the first diagonal entry is shifted by -z and the last by
 -conj(z), where z = 1/(1 - zeta - i xi).  Two equivalent coupling styles
 are supported: the Robin pair (xi, zeta) and the Cartesian form
 z = 1 + rho + i omega; exactly one style must be given.
+
+Validation and the coupling maps use plain floats, so a call that fails
+before any solve never imports numpy; it is imported where an array is
+made.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .errors import SingularParameters
 
@@ -18,14 +22,23 @@ _CONVENTIONS = ("lattice", "shifted")
 
 def is_integer(value):
     """True for an int or a numpy integer; a bool is not a size or count."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def check_size(n):
     """Raise ValueError unless n is an integer >= 2, the shortest chain."""
     if not is_integer(n) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
+
+
+def _check_count(name, value):
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _check_tolerance(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def z_from_xizeta(xi, zeta):
@@ -100,7 +113,7 @@ class ModelParams:
             )
         for name in ("xi", "zeta", "omega", "rho"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if robin:
             if self.xi is None or self.zeta is None:
@@ -161,10 +174,12 @@ class TridiagonalHamiltonian:
     @property
     def corner_last(self):
         """Diagonal entry at site n."""
-        return self.bulk_diagonal - np.conj(self.z)
+        return self.bulk_diagonal - self.z.conjugate()
 
     def diagonal(self):
         """Full main diagonal as a complex array."""
+        import numpy as np
+
         d = np.full(self.n, self.bulk_diagonal, dtype=complex)
         d[0] = self.corner_first
         d[-1] = self.corner_last
@@ -172,6 +187,8 @@ class TridiagonalHamiltonian:
 
     def dense(self):
         """Materialize the dense complex matrix."""
+        import numpy as np
+
         h = np.diag(self.diagonal())
         idx = np.arange(self.n - 1)
         h[idx, idx + 1] = -1.0
@@ -205,5 +222,7 @@ def energy_from_y(y, convention="lattice"):
     """Map the Chebyshev variable y to energy: E = 2 - 2y or E = -2y."""
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
+    import numpy as np
+
     y = np.asarray(y)
     return 2.0 - 2.0 * y if convention == "lattice" else -2.0 * y

@@ -17,6 +17,8 @@ the earlier band stage of the phase solver, whose bits the lean one keeps.
 ``critical_zeta_whole_grid`` is the earlier
 critical-detuning bisection on a xi grid, whose predicate solves every
 grid point; the closed form must lie at or below its upper bracket end.
+``critical_closed_form`` is the earlier numpy evaluation of the closed
+form, which the ``math`` one keeps bit for bit.
 ``dieudonne_nullspace_cutoff`` is the earlier nullspace, whose rank is
 decided by a relative pivot cutoff ``tol_rank``; wherever it returns n
 elements, the fixed-rank nullspace returns its basis bit for bit.
@@ -545,6 +547,30 @@ def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
             hi = mid
     return GridCritical(n=n, value=0.5 * (lo + hi), bracket=(lo, hi),
                         xi_max=xi_max, xi_steps=xi_steps)
+
+
+def _veltkamp(x):
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def critical_closed_form(n):
+    """The earlier numpy closed form of ``critical_zeta`` for
+    xi_max >= xi*: (1 - cos(pi / (n + 1)), y0, xi*), with 1 - cos formed
+    as 2 sin^2(h) with the correction of h and Dekker's product."""
+    m = 2.0 * (n + 1.0)
+    h = np.pi / m
+    hi, lo = _veltkamp(h)
+    dh = ((np.pi - m * hi) - m * lo + 1.2246467991473532e-16) / m
+    s = np.sin(h)
+    p = s * s
+    s_hi, s_lo = _veltkamp(s)
+    e = ((s_hi * s_hi - p) + 2.0 * s_hi * s_lo) + s_lo * s_lo
+    value = float(2.0 * (p + (e + 2.0 * s * np.cos(h) * dh)))
+    theta = np.pi / (n + 1.0)
+    xi_star = float(np.sin(theta) * np.sqrt((n - 1.0) / (n + 1.0)))
+    return value, float(np.cos(theta)), xi_star
 
 
 def hermitian_basis(n):

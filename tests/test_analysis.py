@@ -15,7 +15,8 @@ from hermitize.model import ModelParams, build_hamiltonian
 from hermitize.spectrum import (_EPS, _solve_batch, reality_flags,
                                 solve_spectrum)
 
-from _oracles import critical_zeta_whole_grid, max_pair_distance
+from _oracles import (critical_closed_form, critical_zeta_whole_grid,
+                      max_pair_distance)
 
 
 def test_sweep_xi_matches_pointwise_solves():
@@ -225,6 +226,17 @@ def test_critical_zeta_closed_form_is_within_two_ulps():
             got = critical_zeta(n).value
             want = 1 - mp.cos(mp.pi / (n + 1))
             assert abs(got - want) <= 2 * math.ulp(float(want)), n
+
+
+def test_critical_zeta_closed_form_matches_the_numpy_oracle_bitwise():
+    # The value, ep_y and ep_xi are computed in math, so that the default
+    # case imports no numpy; they keep the bits of the numpy evaluation.
+    ns = [*range(2, 5_001),
+          *(2 ** k + d for k in range(2, 21) for d in (-1, 1))]
+    for n in ns:
+        result = critical_zeta(n)
+        assert (result.value, result.ep_y, result.ep_xi) == \
+            critical_closed_form(n), n
 
 
 def test_critical_zeta_at_the_top_of_the_range_is_instant():

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import hermitize.cli as cli
+from hermitize import spectrum
 from hermitize.errors import NoConvergence
 
 
@@ -292,10 +294,21 @@ def test_singular_parameters_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("target, code", [
+    ("missing/x.csv", errno.ENOENT), (".", errno.EISDIR)])
+def test_unwritable_out_is_a_usage_error(tmp_path, target, code):
+    # An --out path that cannot be opened is reported, not a traceback.
+    out = tmp_path / target
+    proc = _run_process("spectrum", "--n", "4", "--omega", "0.5",
+                        "--out", str(out))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot write {out}: {os.strerror(code)}\n"
+
+
 def test_no_convergence_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NoConvergence("stalled")
-    monkeypatch.setattr(cli, "solve_spectrum", boom)
+    monkeypatch.setattr(spectrum, "solve_spectrum", boom)
     code, _, err = _run(capsys, "spectrum", "--n", "4", "--omega", "0.5")
     assert code == 2 and "stalled" in err
 
