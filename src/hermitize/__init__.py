@@ -10,9 +10,9 @@ space.  The ``hermitize`` console script exposes the same operations.
 
 import importlib
 
-# Each public name and the submodule that defines it.  The names resolve
-# on first use (PEP 562), so ``import hermitize`` loads no numpy; the
-# first numeric name pays for it.
+# The public names of each submodule.  They resolve on first use
+# (PEP 562), so ``import hermitize`` loads no numpy; the first numeric
+# name pays for it.
 _SOURCES = {
     "analysis": ("ContinuumTable", "LocusBranch", "LocusResult",
                  "PositivityResult", "SweepResult", "continuum_convergence",

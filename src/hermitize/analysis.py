@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Re-exported: this was their module before ``critical``.
+# Re-exported, so that hermitize.analysis.critical_zeta keeps working.
 from .critical import CriticalResult, critical_zeta
 from .errors import SingularParameters
 from .families import FAMILIES

@@ -226,7 +226,7 @@ def critical_zeta(n, xi_max=10.0):
     if not (math.isfinite(xi_max) and xi_max > 0.0):
         raise ValueError(f"xi_max must be finite and > 0, got {xi_max}")
     theta = math.pi / (n + 1.0)
-    xi_star = float(math.sin(theta) * math.sqrt((n - 1.0) / (n + 1.0)))
+    xi_star = math.sin(theta) * math.sqrt((n - 1.0) / (n + 1.0))
     if xi_max >= xi_star:
         return CriticalResult(n=n, value=_one_minus_cos(n), xi_max=xi_max,
                               ep_y=math.cos(theta), ep_xi=xi_star)

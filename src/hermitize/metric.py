@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-# Re-exported: the registry lived here before ``families``.
+# Re-exported, so that hermitize.metric.FAMILIES keeps working.
 from .families import FAMILIES, MetricFamily
 from .model import TridiagonalHamiltonian, build_hamiltonian
 

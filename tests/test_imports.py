@@ -92,7 +92,7 @@ def test_star_import_binds_every_public_name():
 
 
 def test_old_import_paths_are_the_same_objects():
-    assert analysis.critical_zeta is hermitize.critical_zeta
+    assert hermitize.analysis.critical_zeta is hermitize.critical_zeta
     assert analysis.CriticalResult is critical.CriticalResult
     assert metric.FAMILIES is families.FAMILIES
     assert metric.MetricFamily is families.MetricFamily
