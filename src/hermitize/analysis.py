@@ -55,7 +55,8 @@ class SweepResult:
     axis : str
         Name of the swept parameter ("xi" or "zeta").
     values : numpy.ndarray
-        Grid values, ascending.
+        Grid values, from the first end of the range given to the second:
+        ``sweep_xi(4, 0.2, 1.0, 0.0, 3).values`` is [1, 0.5, 0].
     fixed : dict
         The parameter held fixed.
     n : int
@@ -226,7 +227,8 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     n : int
         Dimension; must be 3 or 4 for the fixed-size families.
     param_min, param_max : float
-        Grid range; should contain 0, where every family is positive.
+        Grid range, param_min <= param_max (ValueError otherwise); should
+        contain 0, where every family is positive.
     steps : int
         Number of grid points, >= 1.
     param_tol : float
@@ -242,6 +244,10 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     """
     _check_tolerance("param_tol", param_tol)
     _check_count("steps", steps)
+    # The edge search below assumes an ascending grid.
+    if param_min > param_max:
+        raise ValueError(f"param_min = {param_min} is above param_max = "
+                         f"{param_max}; give the range in ascending order")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     fam = FAMILIES[family]

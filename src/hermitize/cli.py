@@ -20,6 +20,7 @@ import json
 import os
 import re
 import signal
+import stat
 import sys
 
 # Only numpy-free modules here: each command imports the numeric module it
@@ -61,6 +62,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _g(x):
     return format(float(x), ".17g")
+
+
+def _check_out_dir(out):
+    """Raise the error that opening ``out`` would raise when its directory
+    is missing, before any computation.  The file itself is opened only
+    after a successful solve, so a failing call leaves it untouched."""
+    try:
+        if stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
+            return
+        reason = os.strerror(errno.ENOTDIR)
+    except OSError as exc:
+        reason = exc.strerror
+    raise _UsageError(f"cannot write {out}: {reason}")
 
 
 def _emit(text, out):
@@ -496,6 +510,8 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out:
+            _check_out_dir(args.out)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,12 @@ variable y (E = 2 - 2y on the lattice): with a = Re z and b = |z|^2,
 
     P(y) = U_n(y) - 2 a U_{n-1}(y) + b U_{n-2}(y) = 0.
 
-All coefficients are real, so non-real roots come in conjugate pairs and
-reality of the spectrum can be decided root by root.
+All coefficients are real, so non-real roots come in conjugate pairs.  A
+root is real exactly when its Im y is 0: ``_secular_roots`` stores with Im
+exactly 0 the band roots, rows with |z| <= 1, n = 2 with |Im z| <= 1, real
+z and an outer pair with D >= 0, and a complex pair always has
+|Im y| >= 2 eps, because ``_outer_roots`` raises |D| to its floor and
+keeps its sign.
 
 The secular solve (``_secular_roots``, behind ``solve_spectrum`` and the
 sweeps) rests on a structure theorem.  Put
@@ -72,12 +76,6 @@ from .model import (ModelParams, TridiagonalHamiltonian, build_hamiltonian,
                     energy_from_y, is_integer)
 
 _EPS = np.finfo(float).eps
-
-# A root counts as real when its imaginary part is below this scale factor
-# times max(1, |y|).  The solver's roots are at round-off, ~1e-15
-# relative, except for a pair within about 1e-8 of an exceptional point,
-# where no solver resolves it better than the square root of round-off.
-REALITY_TOL = 1e-9
 
 # The batched solve works through its couplings in blocks of
 # max(1, _BLOCK_CROSSINGS // n) rows, about this many band crossings each.
@@ -718,7 +716,8 @@ class Spectrum:
     energies : numpy.ndarray
         E = 2 - 2y ("lattice") or E = -2y ("shifted").
     is_real : numpy.ndarray
-        Boolean reality flag per root (tolerance REALITY_TOL scaled).
+        Im y == 0 per root: the solve returns a real root with Im exactly 0
+        and a complex pair with |Im y| >= 2 eps.
     wavefunctions : list of Wavefunction or None
         Present when requested from ``solve_spectrum``.
     """
@@ -743,10 +742,10 @@ class Spectrum:
         return bool(np.all(self.is_real))
 
 
-def reality_flags(y_roots, tol=REALITY_TOL):
-    """Per-root reality flags: |Im y| <= tol * max(1, |y|)."""
-    y_roots = np.asarray(y_roots)
-    return np.abs(y_roots.imag) <= tol * np.maximum(1.0, np.abs(y_roots))
+def reality_flags(y_roots):
+    """Per-root reality flags, Im y == 0: the solve stores a real root with
+    Im exactly 0 and a complex pair with |Im y| >= 2 eps."""
+    return np.asarray(y_roots).imag == 0.0
 
 
 def solve_spectrum(params, max_iter=500, with_wavefunctions=False):

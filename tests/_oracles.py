@@ -22,6 +22,8 @@ form, which the ``math`` one keeps bit for bit.
 ``dieudonne_nullspace_cutoff`` is the earlier nullspace, whose rank is
 decided by a relative pivot cutoff ``tol_rank``; wherever it returns n
 elements, the fixed-rank nullspace returns its basis bit for bit.
+``tolerance_flags`` is the earlier reality rule, which the flags of the
+Aberth oracle and the whole-grid bisection keep.
 """
 from collections import namedtuple
 
@@ -31,10 +33,21 @@ from hermitize.analysis import _zs_from_grid
 from hermitize.errors import DimensionMismatch, NoConvergence
 from hermitize.metric import MetricMatrix
 from hermitize.model import TridiagonalHamiltonian, build_hamiltonian
-from hermitize.spectrum import (REALITY_TOL, _lexsorted_rows, _solve_batch,
-                                reality_flags)
+from hermitize.spectrum import _lexsorted_rows, _solve_batch
 
 _EPS = np.finfo(float).eps
+
+# The earlier reality rule, |Im y| <= REALITY_TOL * max(1, |y|).  The
+# Aberth oracle's real roots carry round-off imaginary parts, so its flags
+# need it; the phase solver stores a real root with Im exactly 0.
+REALITY_TOL = 1e-9
+
+
+def tolerance_flags(y):
+    """Reality flags by the earlier tolerance rule."""
+    y = np.asarray(y)
+    return np.abs(y.imag) <= REALITY_TOL * np.maximum(1.0, np.abs(y))
+
 
 # secular_start starts on the band ellipse below this degree.  At high n
 # and |z| the unscaled evaluation can overflow and the outcome depends
@@ -530,7 +543,7 @@ def critical_zeta_whole_grid(n, xi_max=10.0, xi_steps=2000, zeta_tol=1e-5,
 
     def all_real(zeta):
         roots = _solve_batch(n, _zs_from_grid(xi_grid, zeta))
-        return bool(np.all(reality_flags(roots)))
+        return bool(np.all(tolerance_flags(roots)))
 
     lo, hi = bracket
     if not all_real(lo):

@@ -96,6 +96,21 @@ def test_positivity_sweep_rejects_an_empty_grid():
         metric_positivity_sweep("band", 8, -1.0, 1.0, 0)
 
 
+def test_positivity_sweep_rejects_a_descending_range():
+    # The edge search walks the grid upwards; a reversed range used to
+    # report no edge at all.
+    with pytest.raises(ValueError,
+                       match=r"param_min = 2\.0 .* param_max = -2\.0"):
+        metric_positivity_sweep("band", 8, 2.0, -2.0, 41)
+    res = metric_positivity_sweep("band", 8, -2.0, 2.0, 41)
+    assert res.edge_positive == pytest.approx(0.20906, abs=1e-5)
+    assert res.edge_negative == pytest.approx(-0.20906, abs=1e-5)
+
+
+def test_sweep_values_follow_the_range_as_given():
+    assert sweep_xi(4, 0.2, 1.0, 0.0, 3).values.tolist() == [1.0, 0.5, 0.0]
+
+
 def test_sweeps_reject_non_finite_grids():
     with pytest.raises(ValueError, match="finite"):
         sweep_xi(2, np.nan, 0.0, 1.0, 3)

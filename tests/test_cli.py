@@ -305,6 +305,17 @@ def test_unwritable_out_is_a_usage_error(tmp_path, target, code):
     assert proc.stderr == f"error: cannot write {out}: {os.strerror(code)}\n"
 
 
+def test_failing_call_leaves_an_existing_out_file_untouched(capsys,
+                                                             tmp_path):
+    # The directory is checked before the solve; the file is opened only
+    # after it succeeds.
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"old\n")
+    code, _, _ = _run(capsys, "spectrum", "--n", "4", "--xi", "0", "--zeta",
+                      "1", "--out", str(out))
+    assert code == 3 and out.read_bytes() == b"old\n"
+
+
 def test_no_convergence_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NoConvergence("stalled")

@@ -14,12 +14,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from hermitize import spectrum
 from hermitize.analysis import endpoint_locus, sweep_xi, sweep_zeta
+from hermitize.critical import _ep_curve, critical_zeta
 from hermitize.errors import NoConvergence
 from hermitize.model import ModelParams, build_hamiltonian
 from hermitize.spectrum import (_solve_batch, reality_flags, solve_spectrum,
                                 wavefunction)
 
-from _oracles import max_pair_distance
+from _oracles import max_pair_distance, tolerance_flags, u_monomial
 
 _PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -388,6 +389,75 @@ def test_nearly_real_bound_pairs_at_full_accuracy(n, z):
     assert outer.size == 2
     exact = _mp_outer_roots(mp, n, _params(n, z).z, outer)
     assert max_pair_distance(outer, exact) <= 1e-12 * np.max(np.abs(outer))
+
+
+@pytest.mark.parametrize("ulps", [256, 1024])
+def test_pair_just_above_critical_zeta_is_flagged_complex(ulps):
+    # At n = 32 and xi = xi*, 256 and 1,024 ulps above zeta_c, the solve
+    # returns a complex pair (|Im y| = 1.8e-10 and 4.7e-10), and the
+    # 80-digit spectrum of the same float coupling is complex too.  The
+    # earlier 1e-9 tolerance flagged that pair real.
+    c = critical_zeta(32)
+    zeta = c.value + ulps * np.spacing(c.value)
+    spec = solve_spectrum(ModelParams(n=32, xi=c.ep_xi, zeta=zeta))
+    pair = spec.y_roots.imag != 0.0
+    assert np.count_nonzero(pair) == 2
+    assert np.array_equal(spec.is_real, ~pair)
+    assert spec.n_complex_pairs == 1 and not spec.all_real
+
+
+def _mp_secular_roots(mp, n, z):
+    """80-digit roots of P at the float coupling z, from the exact
+    monomial coefficients of U_k, and whether each is real."""
+    with mp.workdps(80):
+        a, w = mp.mpf(z.real), mp.mpf(z.imag)
+        coeffs = [mp.mpf(0)] * (n + 1)
+        for k, factor in ((n, 1), (n - 1, -2 * a), (n - 2, a * a + w * w)):
+            for i, c in enumerate(u_monomial(k)):
+                coeffs[i] += factor * c
+        roots = mp.polyroots(coeffs[::-1], maxsteps=50, extraprec=60)
+        # A real root keeps |Im| far below 1e-40 at 80 digits; the complex
+        # pairs of the census have |Im| above 1e-11.
+        real = [abs(mp.im(r)) < mp.mpf(10) ** -40 for r in roots]
+    return np.array([complex(r) for r in roots]), np.array(real)
+
+
+def test_reality_flags_near_exceptional_points_against_mpmath():
+    # Couplings 1, 64 and 4,096 ulps of zeta either side of EPs on the
+    # curve of critical._ep_curve, two in the band and one just outside
+    # (y = 1.005), against the 80-digit roots of the same float coupling;
+    # each solver root takes the reality of its nearest exact root.
+    # A double root moves by sqrt(eps) under round-off, so within that of
+    # an EP the solver can put a pair on the wrong side of the real axis.
+    # Every wrong flag is there.  Dropping the 1e-9 tolerance mends more
+    # couplings than it breaks; it breaks n = 16, y = 1.005, -1 ulp, where
+    # the solver returns a complex pair (|Im y| = 7.5e-11) and the exact
+    # pair is real, split by 4.2e-10.
+    mp = pytest.importorskip("mpmath")
+    mended = broken = 0
+    for n in (3, 4, 6, 8, 16):
+        theta = np.pi / (n + 1)
+        for v in (theta ** 2, (0.6 * theta) ** 2, -0.01):
+            zeta0, log_xi, _, _ = _ep_curve(n, v)
+            for k in (-4096, -64, -1, 1, 64, 4096):
+                p = ModelParams(n=n, xi=np.exp(log_xi),
+                                zeta=zeta0 + k * np.spacing(zeta0))
+                spec = solve_spectrum(p)
+                exact, exact_real = _mp_secular_roots(mp, n, p.z)
+                truth, gap = np.empty(n, dtype=bool), np.empty(n)
+                pool = list(range(n))
+                for i, y in enumerate(spec.y_roots):
+                    j = min(pool, key=lambda j: abs(y - exact[j]))
+                    pool.remove(j)
+                    truth[i] = exact_real[j]
+                    gap[i] = np.min(np.abs(np.delete(exact, j) - exact[j]))
+                wrong = spec.is_real != truth
+                assert np.all(gap[wrong] < np.sqrt(np.finfo(float).eps)
+                              * np.maximum(1.0, np.abs(spec.y_roots[wrong])))
+                was_wrong = tolerance_flags(spec.y_roots) != truth
+                mended += bool(was_wrong.any() and not wrong.any())
+                broken += bool(wrong.any() and not was_wrong.any())
+    assert broken < mended
 
 
 def test_continuum_limit_at_the_top_of_the_range():

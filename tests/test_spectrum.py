@@ -14,7 +14,8 @@ from hermitize.spectrum import (_lexsorted_rows, _solve_batch,
 
 import _oracles
 from _oracles import (charpoly_eigenvalues, combo_monomial,
-                      max_pair_distance, same_bits, tie_conjugate_pairs)
+                      max_pair_distance, same_bits, tie_conjugate_pairs,
+                      tolerance_flags)
 
 
 def _ep_grid(zeta, xi_max, steps):
@@ -151,10 +152,15 @@ def test_conjugate_pair_order_does_not_depend_on_round_off():
     assert np.all(partner.imag > 0)
 
 
-def test_reality_flags_scale_with_magnitude():
-    roots = np.array([50.0 + 4e-8j, 1.0 + 4e-8j, 0.2 + 2e-10j])
-    flags = reality_flags(roots)
-    assert flags.tolist() == [True, False, True]
+def test_reality_flags_are_exactly_im_zero():
+    # No tolerance: any nonzero imaginary part is complex, a signed zero
+    # is real, and there is no knob to widen the rule.
+    roots = np.array([complex(0.2, 2e-10), complex(0.2, -0.0),
+                      complex(50.0, 0.0), complex(-1.0, 5e-324)])
+    assert reality_flags(roots).tolist() == [False, True, True, False]
+    assert reality_flags([1.0, -2.5]).tolist() == [True, True]
+    with pytest.raises(TypeError):
+        reality_flags(roots, tol=1e-9)
 
 
 def test_wavefunction_satisfies_eigen_equation():
@@ -293,7 +299,7 @@ def test_phase_solver_keeps_the_aberth_contract():
             exact = _dense_y(n, zs[i])
             assert np.all(_nearest(got[i], exact)[far[i]]
                           <= _nearest(ref[i], exact)[far[i]])
-        flips = np.any(reality_flags(got) != reality_flags(ref), axis=1)
+        flips = np.any(reality_flags(got) != tolerance_flags(ref), axis=1)
         assert np.all(zs[flips].imag == 0.0)
         assert np.all(reality_flags(got)[zs.imag == 0.0])
     assert moved <= 5
