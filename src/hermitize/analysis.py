@@ -86,6 +86,23 @@ class SweepResult:
         return np.count_nonzero(self.is_real, axis=1)
 
 
+def _sweep(axis, n, fixed, lo, hi, steps, convention, max_iter):
+    """Spectra along a grid of ``axis`` ("xi" or "zeta"), the other held
+    at ``fixed``: the body of ``sweep_xi`` and ``sweep_zeta``."""
+    check_size(n)
+    _check_count("steps", steps)
+    _check_max_iter(max_iter)
+    held = "zeta" if axis == "xi" else "xi"
+    values = np.linspace(lo, hi, steps)
+    roots = _solve_batch(n, _zs_from_grid(**{axis: values, held: fixed}),
+                         max_iter=max_iter)
+    return SweepResult(
+        axis=axis, values=values, fixed={held: fixed}, n=n,
+        convention=convention, y_roots=roots,
+        energies=energy_from_y(roots, convention),
+        is_real=reality_flags(roots))
+
+
 def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
              max_iter=500):
     """Spectra along a xi grid at fixed zeta.
@@ -110,17 +127,7 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     SweepResult
         Row i is bitwise ``solve_spectrum`` at (values[i], zeta).
     """
-    check_size(n)
-    _check_count("steps", steps)
-    _check_max_iter(max_iter)
-    values = np.linspace(xi_min, xi_max, steps)
-    zs = _zs_from_grid(values, zeta)
-    roots = _solve_batch(n, zs, max_iter=max_iter)
-    return SweepResult(
-        axis="xi", values=values, fixed={"zeta": zeta}, n=n,
-        convention=convention, y_roots=roots,
-        energies=energy_from_y(roots, convention),
-        is_real=reality_flags(roots))
+    return _sweep("xi", n, zeta, xi_min, xi_max, steps, convention, max_iter)
 
 
 def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
@@ -148,17 +155,8 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     SweepResult
         Row i is bitwise ``solve_spectrum`` at (xi, values[i]).
     """
-    check_size(n)
-    _check_count("steps", steps)
-    _check_max_iter(max_iter)
-    values = np.linspace(zeta_min, zeta_max, steps)
-    zs = _zs_from_grid(xi, values)
-    roots = _solve_batch(n, zs, max_iter=max_iter)
-    return SweepResult(
-        axis="zeta", values=values, fixed={"xi": xi}, n=n,
-        convention=convention, y_roots=roots,
-        energies=energy_from_y(roots, convention),
-        is_real=reality_flags(roots))
+    return _sweep("zeta", n, xi, zeta_min, zeta_max, steps, convention,
+                  max_iter)
 
 
 def _bisect(holds, a, b, tol):

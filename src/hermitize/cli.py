@@ -3,7 +3,9 @@
 Every subcommand prints CSV or JSON (``--format``), to stdout or to
 ``--out``.  Output is deterministic: floats are rendered with 17
 significant digits, line endings are LF, and rows follow the documented
-column order, so repeated runs are byte-identical.
+column order, so repeated runs are byte-identical.  Every number is
+computed before the first byte is written, and a CSV table is formatted
+as it is written, so it is never held whole in memory.
 
 Exit codes: 0 success, 1 usage error or an ``--out`` file that cannot
 be written, 2 iteration failure (NoConvergence), 3 singular coupling
@@ -16,6 +18,7 @@ entry and returns the exit code.
 
 import argparse
 import errno
+import itertools
 import json
 import os
 import re
@@ -29,10 +32,8 @@ import sys
 from .critical import critical_zeta
 from .errors import NoConvergence, SingularParameters
 from .families import FAMILIES
-from .model import ModelParams, _check_count, _check_tolerance
+from .model import ModelParams, _check_count
 
-_SPECTRAL_HEADER = ("axis", "index", "re_E", "im_E", "is_real")
-_EIGEN_HEADER = ("axis", "index", "eigenvalue")
 # Every metric family parameter, each a float flag of metric and verify.
 _FAMILY_PARAMS = tuple(dict.fromkeys(
     name for family in FAMILIES.values() for name, _ in family.params))
@@ -60,42 +61,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _g(x):
-    return format(float(x), ".17g")
-
-
 def _check_out_dir(out):
-    """Raise the error that opening ``out`` would raise when its directory
-    is missing, before any computation.  The file itself is opened only
-    after a successful solve, so a failing call leaves it untouched."""
+    """Raise the error that opening ``out`` would raise when it is a
+    directory or its directory is missing, before any computation.  The
+    file itself is opened only after a successful solve, so a failing call
+    leaves it untouched."""
     try:
-        if stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
+        if os.path.isdir(out):
+            reason = os.strerror(errno.EISDIR)
+        elif stat.S_ISDIR(os.stat(os.path.dirname(out) or ".").st_mode):
             return
-        reason = os.strerror(errno.ENOTDIR)
+        else:
+            reason = os.strerror(errno.ENOTDIR)
     except OSError as exc:
         reason = exc.strerror
     raise _UsageError(f"cannot write {out}: {reason}")
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write the strings of ``chunks`` to ``out``, or to stdout."""
     if out:
         try:
             with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _emit_rows(header, rows, out):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _emit("\n".join(lines) + "\n", out)
+def _emit_csv(header, row, values, out):
+    """A CSV table: the ``header`` line, then ``row % v`` for each tuple
+    v of computed numbers in ``values``, formatted as it is written."""
+    _emit(itertools.chain((header + "\n",), map(row.__mod__, values)), out)
 
 
 def _emit_json(obj, out):
-    _emit(json.dumps(obj, indent=2) + "\n", out)
+    _emit((json.dumps(obj, indent=2), "\n"), out)
 
 
 def _c2(value):
@@ -133,22 +135,19 @@ def _add_output_flags(sub, fmt_default="csv"):
                      default=fmt_default, help="output format")
 
 
-def _coupling_kwargs(args):
-    robin = args.xi is not None or args.zeta is not None
-    cart = args.omega is not None or args.rho is not None
-    if robin and cart:
-        raise _UsageError("give either --xi/--zeta or --omega/--rho, "
-                          "not a mixture")
-    if robin:
-        if args.xi is None or args.zeta is None:
-            raise _UsageError("the Robin style needs both --xi and --zeta")
-        return {"xi": args.xi, "zeta": args.zeta}
-    if cart:
-        if args.omega is None:
-            raise _UsageError("--rho needs --omega")
-        return {"omega": args.omega,
-                "rho": args.rho if args.rho is not None else 0.0}
-    raise _UsageError("no coupling given: use --xi/--zeta or --omega")
+def _model_params(args, **kwargs):
+    """``ModelParams`` from the coupling flags as given; it checks them."""
+    return ModelParams(n=args.n, xi=args.xi, zeta=args.zeta,
+                       omega=args.omega, rho=args.rho, **kwargs)
+
+
+def _spectral_csv(values, energies, is_real, out):
+    """Rows (axis value, index, re_E, im_E, is_real) of a grid of spectra."""
+    _emit_csv("axis,index,re_E,im_E,is_real", "%.17g,%d,%.17g,%.17g,%d\n",
+              ((v, i, e.real, e.imag, r)
+               for v, row, flags in zip(values, energies, is_real)
+               for i, (e, r) in enumerate(zip(row.tolist(), flags.tolist()))),
+              out)
 
 
 def _params_json(params):
@@ -162,17 +161,13 @@ def _axis_value(params):
 
 
 def _cmd_spectrum(args):
-    params = ModelParams(n=args.n, convention=args.convention,
-                         **_coupling_kwargs(args))
+    params = _model_params(args, convention=args.convention)
     from .spectrum import solve_spectrum
 
     spec = solve_spectrum(params)
     if args.format == "csv":
-        axis = _g(_axis_value(params))
-        rows = [(axis, str(i), _g(e.real), _g(e.imag),
-                 "1" if bool(r) else "0")
-                for i, (e, r) in enumerate(zip(spec.energies, spec.is_real))]
-        _emit_rows(_SPECTRAL_HEADER, rows, args.out)
+        _spectral_csv((_axis_value(params),), (spec.energies,),
+                      (spec.is_real,), args.out)
     else:
         _emit_json({
             "n": params.n,
@@ -186,8 +181,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_wavefn(args):
-    params = ModelParams(n=args.n, convention=args.convention,
-                         **_coupling_kwargs(args))
+    params = _model_params(args, convention=args.convention)
     if not 0 <= args.index < params.n:
         raise _UsageError(f"--index must be in [0, {params.n - 1}]")
     from .spectrum import solve_spectrum, wavefunction
@@ -195,9 +189,10 @@ def _cmd_wavefn(args):
     spec = solve_spectrum(params)
     wf = wavefunction(params, spec.y_roots[args.index])
     if args.format == "csv":
-        rows = [(str(m + 1), _g(c.real), _g(c.imag))
-                for m, c in enumerate(wf.components)]
-        _emit_rows(("site", "re_phi", "im_phi"), rows, args.out)
+        _emit_csv("site,re_phi,im_phi", "%d,%.17g,%.17g\n",
+                  ((m, c.real, c.imag)
+                   for m, c in enumerate(wf.components.tolist(), 1)),
+                  args.out)
     else:
         _emit_json({
             "n": params.n,
@@ -226,9 +221,10 @@ def _cmd_metric(args):
 
     eigs = hermitian_eigenvalues(theta)
     if args.format == "csv":
-        axis = _g(theta.params[family.swept])
-        rows = [(axis, str(i), _g(e)) for i, e in enumerate(eigs)]
-        _emit_rows(_EIGEN_HEADER, rows, args.out)
+        axis = theta.params[family.swept]
+        _emit_csv("axis,index,eigenvalue", "%.17g,%d,%.17g\n",
+                  ((axis, i, e) for i, e in enumerate(eigs.tolist())),
+                  args.out)
     else:
         _emit_json({
             "n": theta.n,
@@ -261,36 +257,29 @@ def _cmd_verify(args):
         "max_wavefn_residual": max_res,
     }
     if args.format == "csv":
-        rows = [("n", str(payload["n"])),
-                ("family", payload["family"]),
-                ("params", ";".join(f"{k}={_g(v)}"
-                                    for k, v in payload["params"].items())),
-                ("dieudonne_residual", _g(payload["dieudonne_residual"])),
-                ("min_metric_eigenvalue",
-                 _g(payload["min_metric_eigenvalue"])),
-                ("positive_definite",
-                 "1" if payload["positive_definite"] else "0"),
-                ("max_wavefn_residual", _g(payload["max_wavefn_residual"]))]
-        _emit_rows(("field", "value"), rows, args.out)
+        # One record, written as a (field, value) column in payload order.
+        payload["params"] = ";".join("%s=%.17g" % kv
+                                     for kv in report.params.items())
+        _emit_csv("field,value", "n,%d\nfamily,%s\nparams,%s\n"
+                  "dieudonne_residual,%.17g\nmin_metric_eigenvalue,%.17g\n"
+                  "positive_definite,%d\nmax_wavefn_residual,%.17g\n",
+                  [tuple(payload.values())], args.out)
     else:
         _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_nullspace(args):
-    params = ModelParams(n=args.n, **_coupling_kwargs(args))
+    params = _model_params(args)
     from .metric import dieudonne_nullspace
 
     basis = dieudonne_nullspace(params)
     if args.format == "csv":
-        rows = []
-        for k, element in enumerate(basis):
-            for i in range(args.n):
-                for j in range(args.n):
-                    entry = element.matrix[i, j]
-                    rows.append((str(k), str(i), str(j),
-                                 _g(entry.real), _g(entry.imag)))
-        _emit_rows(("element", "row", "col", "re", "im"), rows, args.out)
+        _emit_csv("element,row,col,re,im", "%d,%d,%d,%.17g,%.17g\n",
+                  ((k, i, j, v.real, v.imag)
+                   for k, element in enumerate(basis)
+                   for i, row in enumerate(element.matrix.tolist())
+                   for j, v in enumerate(row)), args.out)
     else:
         _emit_json({
             "n": args.n,
@@ -303,33 +292,19 @@ def _cmd_nullspace(args):
 
 
 def _cmd_sweep(args):
-    if args.axis == "xi":
-        if args.zeta is None:
-            raise _UsageError("sweep over xi needs a fixed --zeta")
-        if args.xi is not None:
-            raise _UsageError("--xi conflicts with --axis xi")
-        from .analysis import sweep_xi
+    held = "zeta" if args.axis == "xi" else "xi"
+    if getattr(args, held) is None:
+        raise _UsageError(f"sweep over {args.axis} needs a fixed --{held}")
+    if getattr(args, args.axis) is not None:
+        raise _UsageError(f"--{args.axis} conflicts with --axis {args.axis}")
+    from . import analysis
 
-        result = sweep_xi(args.n, args.zeta, args.min, args.max, args.steps,
-                          convention=args.convention)
-    else:
-        if args.xi is None:
-            raise _UsageError("sweep over zeta needs a fixed --xi")
-        if args.zeta is not None:
-            raise _UsageError("--zeta conflicts with --axis zeta")
-        from .analysis import sweep_zeta
-
-        result = sweep_zeta(args.n, args.xi, args.min, args.max, args.steps,
-                            convention=args.convention)
+    sweep = getattr(analysis, "sweep_" + args.axis)
+    result = sweep(args.n, getattr(args, held), args.min, args.max,
+                   args.steps, convention=args.convention)
     if args.format == "csv":
-        rows = []
-        for value, energies, flags in zip(result.values, result.energies,
-                                          result.is_real):
-            axis = _g(value)
-            rows.extend((axis, str(i), _g(e.real), _g(e.imag),
-                         "1" if bool(r) else "0")
-                        for i, (e, r) in enumerate(zip(energies, flags)))
-        _emit_rows(_SPECTRAL_HEADER, rows, args.out)
+        _spectral_csv(result.values, result.energies, result.is_real,
+                      args.out)
     else:
         _emit_json({
             "n": result.n,
@@ -344,18 +319,17 @@ def _cmd_sweep(args):
 
 
 def _cmd_critical(args):
-    # The value is exact and does not depend on --xi-steps or --zeta-tol;
-    # both are still checked, so that existing calls keep working, and the
-    # output keeps its schema: xi_steps is echoed, the bracket is
-    # [value, value].
-    _check_tolerance("zeta_tol", args.zeta_tol)
+    # The value is exact and does not depend on --xi-steps; it is still
+    # checked, so that existing calls keep working, and the output keeps
+    # its schema: xi_steps is echoed, the bracket is [value, value].
     _check_count("xi_steps", args.xi_steps)
     result = critical_zeta(args.n, xi_max=args.xi_max)
     if args.format == "csv":
-        rows = [(str(result.n), _g(result.value), _g(result.value),
-                 _g(result.value), _g(result.xi_max), str(args.xi_steps))]
-        _emit_rows(("n", "value", "bracket_lo", "bracket_hi", "xi_max",
-                    "xi_steps"), rows, args.out)
+        v = result.value
+        _emit_csv("n,value,bracket_lo,bracket_hi,xi_max,xi_steps",
+                  "%d,%.17g,%.17g,%.17g,%.17g,%d\n",
+                  [(result.n, v, v, v, result.xi_max, args.xi_steps)],
+                  args.out)
     else:
         _emit_json({
             "n": result.n,
@@ -379,13 +353,12 @@ def _cmd_continuum(args):
     table = continuum_convergence(ms, levels=args.levels)
     doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
     if args.format == "csv":
-        rows = []
-        for i, m in enumerate(table.ms):
-            for k in range(table.levels):
-                rows.append((str(m), str(k), _g(table.energies[i, k]),
-                             _g(table.rescaled[i, k]), _g(table.targets[k])))
-        _emit_rows(("m", "level", "energy", "rescaled", "target"),
-                   rows, args.out)
+        _emit_csv("m,level,energy,rescaled,target",
+                  "%d,%d,%.17g,%.17g,%.17g\n",
+                  ((m, k, table.energies[i, k], table.rescaled[i, k],
+                    table.targets[k])
+                   for i, m in enumerate(table.ms)
+                   for k in range(table.levels)), args.out)
     else:
         payload = {
             "ms": table.ms,
@@ -405,11 +378,11 @@ def _cmd_locus(args):
 
     result = endpoint_locus(args.n, samples=args.samples)
     if args.format == "csv":
-        rows = []
-        for branch in (result.y_plus, result.y_minus):
-            rows.extend((branch.name, _g(t), _g(zt), _g(x))
-                        for t, zt, x in zip(branch.t, branch.zeta, branch.xi))
-        _emit_rows(("branch", "t", "zeta", "xi"), rows, args.out)
+        _emit_csv("branch,t,zeta,xi", "%s,%.17g,%.17g,%.17g\n",
+                  ((branch.name, *point)
+                   for branch in (result.y_plus, result.y_minus)
+                   for point in zip(branch.t, branch.zeta, branch.xi)),
+                  args.out)
     else:
         _emit_json({
             "n": result.n,
@@ -483,8 +456,6 @@ def _build_parser():
     p.add_argument("--xi-max", type=float, default=10.0)
     p.add_argument("--xi-steps", type=int, default=2000,
                    help="checked and echoed; the value does not use it")
-    p.add_argument("--zeta-tol", type=float, default=1e-5,
-                   help="checked; the value does not use it")
     _add_output_flags(p, fmt_default="json")
     p.set_defaults(func=_cmd_critical)
 

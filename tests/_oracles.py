@@ -23,7 +23,9 @@ form, which the ``math`` one keeps bit for bit.
 decided by a relative pivot cutoff ``tol_rank``; wherever it returns n
 elements, the fixed-rank nullspace returns its basis bit for bit.
 ``tolerance_flags`` is the earlier reality rule, which the flags of the
-Aberth oracle and the whole-grid bisection keep.
+Aberth oracle and the whole-grid bisection keep.  ``g17`` and
+``csv_table`` are the earlier CLI formatter, which built every CSV table
+as one string of comma-joined fields; the streamed tables keep its bytes.
 """
 from collections import namedtuple
 
@@ -718,3 +720,16 @@ def dieudonne_nullspace_cutoff(params, tol_rank=1e-10):
             ortho.append(m / norm)
     return [MetricMatrix(n=n, family="nullspace", params={"index": i},
                          matrix=m) for i, m in enumerate(ortho)]
+
+
+def g17(x):
+    """A float as the earlier CLI wrote it: 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def csv_table(header, rows):
+    """The earlier CLI table: the header and each row of strings joined
+    by commas, one LF-terminated line each."""
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 import hermitize.cli as cli
-from hermitize import spectrum
+from hermitize import analysis, metric, spectrum
 from hermitize.errors import NoConvergence
+from hermitize.families import FAMILIES
+from hermitize.model import ModelParams
+
+from _oracles import csv_table, g17
 
 
 def _run(capsys, *argv):
@@ -191,7 +195,7 @@ def test_continuum_csv_and_json(capsys):
 
 def test_critical_json_fields(capsys):
     code, out, _ = _run(capsys, "critical", "--n", "2", "--xi-max", "2",
-                        "--xi-steps", "200", "--zeta-tol", "1e-3")
+                        "--xi-steps", "200")
     assert code == 0
     doc = json.loads(out)
     assert doc["n"] == 2
@@ -236,14 +240,22 @@ def _run_process(*argv):
     return _run_python("-m", "hermitize.cli", *argv)
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--zeta-tol", "0"), ("--zeta-tol", "-1"), ("--zeta-tol", "nan"),
-    ("--xi-steps", "0")])
+@pytest.mark.parametrize("flag, value", [("--xi-steps", "0")])
 def test_critical_rejects_bad_tolerance_or_grid(flag, value):
     proc = _run_process("critical", "--n", "4", f"{flag}={value}")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert flag[2:].replace("-", "_") in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "1e-5"])
+def test_critical_has_no_zeta_tol_flag(capsys, value):
+    # The value is exact, so a bisection tolerance has nothing to set: any
+    # --zeta-tol, valid once or not, is a usage error.
+    code, out, err = _run(capsys, "critical", "--n", "4",
+                          f"--zeta-tol={value}")
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: --zeta-tol={value}\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -274,6 +286,25 @@ def test_usage_exit_codes(capsys):
                 "1")[0] == 1
     assert _run(capsys, "spectrum", "--bogus", "1")[0] == 1
     assert _run(capsys, "nosuchcommand")[0] == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "wavefn", "nullspace"])
+@pytest.mark.parametrize("flags, coupling, message", [
+    ((), {}, "no coupling given: supply (xi, zeta) or omega"),
+    (("--xi", "1", "--omega", "1"), {"xi": 1.0, "omega": 1.0},
+     "give either (xi, zeta) or (omega, rho), not a mixture"),
+    (("--xi", "1"), {"xi": 1.0}, "the Robin style needs both xi and zeta"),
+    (("--rho", "1"), {"rho": 1.0}, "the Cartesian style needs omega"),
+], ids=["none", "mixed", "xi-alone", "rho-alone"])
+def test_coupling_usage_errors_are_those_of_model_params(capsys, command,
+                                                         flags, coupling,
+                                                         message):
+    # The flags reach ModelParams as given, and its check is the CLI's.
+    with pytest.raises(ValueError) as exc:
+        ModelParams(n=4, **coupling)
+    assert str(exc.value) == message
+    code, out, err = _run(capsys, command, "--n", "4", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys):
@@ -538,3 +569,161 @@ def test_closed_output_pipe_ends_with_141_and_no_traceback(lines_read):
     finally:
         proc.kill()
         proc.wait()
+
+
+# Every CSV table against the earlier formatter (tests/_oracles.py: 17
+# significant digits per float, fields joined by commas) applied to the
+# results of the public API at the same arguments.
+_SPECTRAL = ("axis", "index", "re_E", "im_E", "is_real")
+
+
+def _spectral_rows(values, energies, flags):
+    return [(g17(v), str(i), g17(e.real), g17(e.imag), "1" if r else "0")
+            for v, row, row_flags in zip(values, energies, flags)
+            for i, (e, r) in enumerate(zip(row, row_flags))]
+
+
+def _spectrum_table(n, convention, axis, **coupling):
+    spec = spectrum.solve_spectrum(
+        ModelParams(n=n, convention=convention, **coupling))
+    return csv_table(_SPECTRAL, _spectral_rows([axis], [spec.energies],
+                                               [spec.is_real]))
+
+
+def _wavefn_table(n, index, **coupling):
+    params = ModelParams(n=n, **coupling)
+    y = spectrum.solve_spectrum(params).y_roots[index]
+    wf = spectrum.wavefunction(params, y)
+    return csv_table(("site", "re_phi", "im_phi"),
+                     [(str(m + 1), g17(c.real), g17(c.imag))
+                      for m, c in enumerate(wf.components)])
+
+
+def _metric_table(n, omega):
+    theta = FAMILIES["band"].build(n, omega=omega)
+    eigs = metric.hermitian_eigenvalues(theta)
+    return csv_table(("axis", "index", "eigenvalue"),
+                     [(g17(omega), str(i), g17(e)) for i, e in enumerate(eigs)])
+
+
+def _verify_table(n, xi):
+    theta = FAMILIES["n3_general"].build(n, xi=xi, r=1.0, s=1.0, u=0.0)
+    params = ModelParams(n=n, xi=xi, zeta=0.0)
+    report = metric.verify_metric(params, theta)
+    spec = spectrum.solve_spectrum(params, with_wavefunctions=True)
+    return csv_table(("field", "value"), [
+        ("n", str(report.n)), ("family", report.family),
+        ("params", ";".join(f"{k}={g17(v)}"
+                            for k, v in report.params.items())),
+        ("dieudonne_residual", g17(report.dieudonne_residual)),
+        ("min_metric_eigenvalue", g17(report.min_eigenvalue)),
+        ("positive_definite", "1" if report.positive_definite else "0"),
+        ("max_wavefn_residual",
+         g17(max(w.residual for w in spec.wavefunctions)))])
+
+
+def _nullspace_table(n, **coupling):
+    basis = metric.dieudonne_nullspace(ModelParams(n=n, **coupling))
+    return csv_table(("element", "row", "col", "re", "im"), [
+        (str(k), str(i), str(j), g17(b.matrix[i, j].real),
+         g17(b.matrix[i, j].imag))
+        for k, b in enumerate(basis) for i in range(n) for j in range(n)])
+
+
+def _sweep_table(sweep, *args, **kwargs):
+    result = sweep(*args, **kwargs)
+    return csv_table(_SPECTRAL, _spectral_rows(result.values, result.energies,
+                                               result.is_real))
+
+
+def _critical_table(n):
+    v = analysis.critical_zeta(n).value
+    return csv_table(("n", "value", "bracket_lo", "bracket_hi", "xi_max",
+                      "xi_steps"),
+                     [(str(n), g17(v), g17(v), g17(v), g17(10.0), "2000")])
+
+
+def _continuum_table(ms, levels):
+    table = analysis.continuum_convergence(ms, levels=levels)
+    return csv_table(("m", "level", "energy", "rescaled", "target"), [
+        (str(m), str(k), g17(table.energies[i, k]),
+         g17(table.rescaled[i, k]), g17(table.targets[k]))
+        for i, m in enumerate(table.ms) for k in range(levels)])
+
+
+def _locus_table(n, samples):
+    result = analysis.endpoint_locus(n, samples=samples)
+    return csv_table(("branch", "t", "zeta", "xi"), [
+        (b.name, g17(t), g17(zt), g17(x))
+        for b in (result.y_plus, result.y_minus)
+        for t, zt, x in zip(b.t, b.zeta, b.xi)])
+
+
+_CSV_CASES = {
+    "spectrum": (("spectrum", "--n", "7", "--xi", "1.1", "--zeta", "0.6"),
+                 lambda: _spectrum_table(7, "lattice", 1.1, xi=1.1,
+                                         zeta=0.6)),
+    "spectrum-shifted": (
+        ("spectrum", "--n", "5", "--omega", "1.3", "--rho", "-0.2",
+         "--convention", "shifted"),
+        lambda: _spectrum_table(5, "shifted", 1.3, omega=1.3, rho=-0.2)),
+    "wavefn": (("wavefn", "--n", "6", "--xi", "0.4", "--zeta", "0.3",
+                "--index", "2"),
+               lambda: _wavefn_table(6, 2, xi=0.4, zeta=0.3)),
+    "metric": (("metric", "--n", "9", "--family", "band", "--omega", "0.3"),
+               lambda: _metric_table(9, 0.3)),
+    "verify": (("verify", "--n", "3", "--family", "n3_general", "--xi",
+                "0.5", "--format", "csv"),
+               lambda: _verify_table(3, 0.5)),
+    "nullspace": (("nullspace", "--n", "4", "--xi", "0.5", "--zeta", "0.2",
+                   "--format", "csv"),
+                  lambda: _nullspace_table(4, xi=0.5, zeta=0.2)),
+    "sweep-xi": (("sweep", "--n", "5", "--axis", "xi", "--min", "0",
+                  "--max", "1.5", "--steps", "7", "--zeta", "0.2"),
+                 lambda: _sweep_table(analysis.sweep_xi, 5, 0.2, 0.0, 1.5,
+                                      7)),
+    "sweep-zeta-shifted": (
+        ("sweep", "--n", "4", "--axis", "zeta", "--min", "-0.5", "--max",
+         "0.8", "--steps", "6", "--xi", "0.6", "--convention", "shifted"),
+        lambda: _sweep_table(analysis.sweep_zeta, 4, 0.6, -0.5, 0.8, 6,
+                             convention="shifted")),
+    "critical": (("critical", "--n", "6", "--format", "csv"),
+                 lambda: _critical_table(6)),
+    "continuum": (("continuum", "--m", "10,20,40", "--levels", "3"),
+                  lambda: _continuum_table([10, 20, 40], 3)),
+    "locus": (("locus", "--n", "4", "--samples", "5"),
+              lambda: _locus_table(4, 5)),
+}
+
+
+@pytest.mark.parametrize("argv, table", list(_CSV_CASES.values()),
+                         ids=list(_CSV_CASES))
+def test_csv_tables_keep_the_earlier_formatter_bytes(capsys, argv, table):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == table()
+
+
+def test_sweep_table_memory_is_that_of_its_solve(tmp_path):
+    # The table is formatted as it is written, so the CLI holds the solved
+    # arrays and one row, not 160,000 formatted rows (8.7 times the solve's
+    # peak when the table was built whole).
+    import tracemalloc
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    analysis.sweep_xi(8, 0.2, 0.0, 3.0, 20)  # any first-call state
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--n", "8", "--axis", "xi", "--min", "0", "--max", "3",
+            "--steps", "20000", "--zeta", "0.2", "--out", str(out)]
+    solve = traced_peak(lambda: analysis.sweep_xi(8, 0.2, 0.0, 3.0, 20000))
+    codes = []
+    table = traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0] and out.stat().st_size > 7_000_000
+    assert table <= 1.5 * solve, (table, solve)

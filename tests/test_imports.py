@@ -54,6 +54,7 @@ def test_import_hermitize_loads_no_numpy():
     (["critical", "--n", "6", "--xi-steps", "0"], 1),
     (["spectrum", "--n", "4", "--omega", "0.5", "--out", "/nonexistent/x.csv"],
      1),
+    (["spectrum", "--n", "4", "--omega", "0.5", "--out", "."], 1),
 ])
 def test_calls_that_compute_nothing_numeric_load_no_numpy(argv, code):
     got, _, numpy_loaded = _cli_in_fresh_process(argv)
