@@ -4,8 +4,9 @@ Every subcommand prints CSV or JSON (``--format``), to stdout or to
 ``--out``.  Output is deterministic: floats are rendered with 17
 significant digits, line endings are LF, and rows follow the documented
 column order, so repeated runs are byte-identical.  Every number is
-computed before the first byte is written, and a CSV table is formatted
-as it is written, so it is never held whole in memory.
+computed before the first byte is written; a CSV table is then
+formatted, and a JSON document encoded, as it is written, so neither is
+held whole in memory.
 
 Exit codes: 0 success, 1 usage error or an ``--out`` file that cannot
 be written, 2 iteration failure (NoConvergence), 3 singular coupling
@@ -96,14 +97,32 @@ def _emit_csv(header, row, values, out):
     _emit(itertools.chain((header + "\n",), map(row.__mod__, values)), out)
 
 
-def _emit_json(obj, out):
-    _emit((json.dumps(obj, indent=2), "\n"), out)
+def _jsonable(value):
+    """The ``default`` hook of the JSON encoder: a complex number as
+    [re, im], a numpy array as lists (a 2-D array row by row), a numpy
+    scalar as its Python value."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        if value.ndim > 1:
+            return list(value)
+        if np.iscomplexobj(value):
+            value = np.ascontiguousarray(value).view(float).reshape(-1, 2)
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _c2(value):
-    """Complex number as a [re, im] pair for JSON."""
-    value = complex(value)
-    return [value.real, value.imag]
+def _emit_json(doc, out):
+    """``doc`` as indented JSON, encoded as it is written: the encoder's
+    pieces go out joined 4,096 at a time, so the text is never held whole
+    and the writes are few."""
+    pieces = json.JSONEncoder(indent=2, default=_jsonable).iterencode(doc)
+    batches = iter(lambda: "".join(itertools.islice(pieces, 4096)), "")
+    _emit(itertools.chain(batches, ("\n",)), out)
 
 
 def _add_coupling_flags(sub):
@@ -141,13 +160,12 @@ def _model_params(args, **kwargs):
                        omega=args.omega, rho=args.rho, **kwargs)
 
 
-def _spectral_csv(values, energies, is_real, out):
+def _spectral_csv(values, energies, is_real):
     """Rows (axis value, index, re_E, im_E, is_real) of a grid of spectra."""
-    _emit_csv("axis,index,re_E,im_E,is_real", "%.17g,%d,%.17g,%.17g,%d\n",
-              ((v, i, e.real, e.imag, r)
-               for v, row, flags in zip(values, energies, is_real)
-               for i, (e, r) in enumerate(zip(row.tolist(), flags.tolist()))),
-              out)
+    return ("axis,index,re_E,im_E,is_real", "%.17g,%d,%.17g,%.17g,%d\n",
+            ((v, i, e.real, e.imag, r)
+             for v, row, flags in zip(values, energies, is_real)
+             for i, (e, r) in enumerate(zip(row.tolist(), flags.tolist()))))
 
 
 def _params_json(params):
@@ -156,28 +174,24 @@ def _params_json(params):
     return {"omega": params.omega, "rho": params.rho}
 
 
-def _axis_value(params):
-    return params.xi if params.coupling_style == "xizeta" else params.omega
-
+# Each command returns its CSV table, as (header, row format, row values)
+# for ``_emit_csv``, and its JSON document; ``main`` writes the one that
+# --format names.
 
 def _cmd_spectrum(args):
     params = _model_params(args, convention=args.convention)
     from .spectrum import solve_spectrum
 
     spec = solve_spectrum(params)
-    if args.format == "csv":
-        _spectral_csv((_axis_value(params),), (spec.energies,),
-                      (spec.is_real,), args.out)
-    else:
-        _emit_json({
-            "n": params.n,
-            "params": _params_json(params),
-            "convention": params.convention,
-            "results": [{"y": _c2(y), "energy": _c2(e), "is_real": bool(r)}
-                        for y, e, r in zip(spec.y_roots, spec.energies,
-                                           spec.is_real)],
-        }, args.out)
-    return 0
+    axis = params.xi if params.coupling_style == "xizeta" else params.omega
+    return _spectral_csv((axis,), (spec.energies,), (spec.is_real,)), {
+        "n": params.n,
+        "params": _params_json(params),
+        "convention": params.convention,
+        "results": [{"y": y, "energy": e, "is_real": r}
+                    for y, e, r in zip(spec.y_roots, spec.energies,
+                                       spec.is_real)],
+    }
 
 
 def _cmd_wavefn(args):
@@ -188,23 +202,18 @@ def _cmd_wavefn(args):
 
     spec = solve_spectrum(params)
     wf = wavefunction(params, spec.y_roots[args.index])
-    if args.format == "csv":
-        _emit_csv("site,re_phi,im_phi", "%d,%.17g,%.17g\n",
-                  ((m, c.real, c.imag)
-                   for m, c in enumerate(wf.components.tolist(), 1)),
-                  args.out)
-    else:
-        _emit_json({
-            "n": params.n,
-            "params": _params_json(params),
-            "convention": params.convention,
-            "index": args.index,
-            "y": _c2(wf.y),
-            "energy": _c2(wf.energy),
-            "residual": wf.residual,
-            "components": [_c2(c) for c in wf.components],
-        }, args.out)
-    return 0
+    return ("site,re_phi,im_phi", "%d,%.17g,%.17g\n",
+            ((m, c.real, c.imag)
+             for m, c in enumerate(wf.components.tolist(), 1))), {
+        "n": params.n,
+        "params": _params_json(params),
+        "convention": params.convention,
+        "index": args.index,
+        "y": wf.y,
+        "energy": wf.energy,
+        "residual": wf.residual,
+        "components": wf.components,
+    }
 
 
 def _build_family(args):
@@ -220,21 +229,16 @@ def _cmd_metric(args):
     from .metric import hermitian_eigenvalues
 
     eigs = hermitian_eigenvalues(theta)
-    if args.format == "csv":
-        axis = theta.params[family.swept]
-        _emit_csv("axis,index,eigenvalue", "%.17g,%d,%.17g\n",
-                  ((axis, i, e) for i, e in enumerate(eigs.tolist())),
-                  args.out)
-    else:
-        _emit_json({
-            "n": theta.n,
-            "family": theta.family,
-            "params": theta.params,
-            "eigenvalues": [float(e) for e in eigs],
-            "min_eigenvalue": float(eigs[0]),
-            "positive_definite": bool(eigs[0] > 0.0),
-        }, args.out)
-    return 0
+    axis = theta.params[family.swept]
+    return ("axis,index,eigenvalue", "%.17g,%d,%.17g\n",
+            ((axis, i, e) for i, e in enumerate(eigs.tolist()))), {
+        "n": theta.n,
+        "family": theta.family,
+        "params": theta.params,
+        "eigenvalues": eigs,
+        "min_eigenvalue": eigs[0],
+        "positive_definite": eigs[0] > 0.0,
+    }
 
 
 def _cmd_verify(args):
@@ -246,27 +250,22 @@ def _cmd_verify(args):
 
     report = verify_metric(params, theta)
     spec = solve_spectrum(params, with_wavefunctions=True)
-    max_res = max(w.residual for w in spec.wavefunctions)
-    payload = {
+    doc = {
         "n": report.n,
         "family": report.family,
         "params": report.params,
         "dieudonne_residual": report.dieudonne_residual,
         "min_metric_eigenvalue": report.min_eigenvalue,
         "positive_definite": report.positive_definite,
-        "max_wavefn_residual": max_res,
+        "max_wavefn_residual": max(w.residual for w in spec.wavefunctions),
     }
-    if args.format == "csv":
-        # One record, written as a (field, value) column in payload order.
-        payload["params"] = ";".join("%s=%.17g" % kv
-                                     for kv in report.params.items())
-        _emit_csv("field,value", "n,%d\nfamily,%s\nparams,%s\n"
-                  "dieudonne_residual,%.17g\nmin_metric_eigenvalue,%.17g\n"
-                  "positive_definite,%d\nmax_wavefn_residual,%.17g\n",
-                  [tuple(payload.values())], args.out)
-    else:
-        _emit_json(payload, args.out)
-    return 0
+    # One record, written as a (field, value) column in document order.
+    record = dict(doc, params=";".join("%s=%.17g" % kv
+                                       for kv in report.params.items()))
+    return ("field,value", "n,%d\nfamily,%s\nparams,%s\n"
+            "dieudonne_residual,%.17g\nmin_metric_eigenvalue,%.17g\n"
+            "positive_definite,%d\nmax_wavefn_residual,%.17g\n",
+            [tuple(record.values())]), doc
 
 
 def _cmd_nullspace(args):
@@ -274,21 +273,16 @@ def _cmd_nullspace(args):
     from .metric import dieudonne_nullspace
 
     basis = dieudonne_nullspace(params)
-    if args.format == "csv":
-        _emit_csv("element,row,col,re,im", "%d,%d,%d,%.17g,%.17g\n",
-                  ((k, i, j, v.real, v.imag)
-                   for k, element in enumerate(basis)
-                   for i, row in enumerate(element.matrix.tolist())
-                   for j, v in enumerate(row)), args.out)
-    else:
-        _emit_json({
-            "n": args.n,
-            "params": _params_json(params),
-            "dimension": len(basis),
-            "elements": [[[_c2(v) for v in row] for row in b.matrix]
-                         for b in basis],
-        }, args.out)
-    return 0
+    return ("element,row,col,re,im", "%d,%d,%d,%.17g,%.17g\n",
+            ((k, i, j, v.real, v.imag)
+             for k, element in enumerate(basis)
+             for i, row in enumerate(element.matrix.tolist())
+             for j, v in enumerate(row))), {
+        "n": args.n,
+        "params": _params_json(params),
+        "dimension": len(basis),
+        "elements": [b.matrix for b in basis],
+    }
 
 
 def _cmd_sweep(args):
@@ -302,20 +296,15 @@ def _cmd_sweep(args):
     sweep = getattr(analysis, "sweep_" + args.axis)
     result = sweep(args.n, getattr(args, held), args.min, args.max,
                    args.steps, convention=args.convention)
-    if args.format == "csv":
-        _spectral_csv(result.values, result.energies, result.is_real,
-                      args.out)
-    else:
-        _emit_json({
-            "n": result.n,
-            "axis": result.axis,
-            "fixed": result.fixed,
-            "convention": result.convention,
-            "values": [float(v) for v in result.values],
-            "energies": [[_c2(e) for e in row] for row in result.energies],
-            "is_real": [[bool(r) for r in row] for row in result.is_real],
-        }, args.out)
-    return 0
+    return _spectral_csv(result.values, result.energies, result.is_real), {
+        "n": result.n,
+        "axis": result.axis,
+        "fixed": result.fixed,
+        "convention": result.convention,
+        "values": result.values,
+        "energies": result.energies,
+        "is_real": result.is_real,
+    }
 
 
 def _cmd_critical(args):
@@ -324,21 +313,16 @@ def _cmd_critical(args):
     # its schema: xi_steps is echoed, the bracket is [value, value].
     _check_count("xi_steps", args.xi_steps)
     result = critical_zeta(args.n, xi_max=args.xi_max)
-    if args.format == "csv":
-        v = result.value
-        _emit_csv("n,value,bracket_lo,bracket_hi,xi_max,xi_steps",
-                  "%d,%.17g,%.17g,%.17g,%.17g,%d\n",
-                  [(result.n, v, v, v, result.xi_max, args.xi_steps)],
-                  args.out)
-    else:
-        _emit_json({
-            "n": result.n,
-            "value": result.value,
-            "bracket": [result.value, result.value],
-            "xi_max": result.xi_max,
-            "xi_steps": args.xi_steps,
-        }, args.out)
-    return 0
+    v = result.value
+    return ("n,value,bracket_lo,bracket_hi,xi_max,xi_steps",
+            "%d,%.17g,%.17g,%.17g,%.17g,%d\n",
+            [(result.n, v, v, v, result.xi_max, args.xi_steps)]), {
+        "n": result.n,
+        "value": v,
+        "bracket": [v, v],
+        "xi_max": result.xi_max,
+        "xi_steps": args.xi_steps,
+    }
 
 
 def _cmd_continuum(args):
@@ -352,48 +336,32 @@ def _cmd_continuum(args):
 
     table = continuum_convergence(ms, levels=args.levels)
     doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
-    if args.format == "csv":
-        _emit_csv("m,level,energy,rescaled,target",
-                  "%d,%d,%.17g,%.17g,%.17g\n",
-                  ((m, k, table.energies[i, k], table.rescaled[i, k],
-                    table.targets[k])
-                   for i, m in enumerate(table.ms)
-                   for k in range(table.levels)), args.out)
-    else:
-        payload = {
-            "ms": table.ms,
-            "levels": table.levels,
-            "energies": [[float(v) for v in row] for row in table.energies],
-            "rescaled": [[float(v) for v in row] for row in table.rescaled],
-            "targets": [float(v) for v in table.targets],
-            "richardson": ([float(v) for v in table.richardson()]
-                           if doubling else None),
-        }
-        _emit_json(payload, args.out)
-    return 0
+    return ("m,level,energy,rescaled,target", "%d,%d,%.17g,%.17g,%.17g\n",
+            ((m, k, table.energies[i, k], table.rescaled[i, k],
+              table.targets[k])
+             for i, m in enumerate(table.ms)
+             for k in range(table.levels))), {
+        "ms": table.ms,
+        "levels": table.levels,
+        "energies": table.energies,
+        "rescaled": table.rescaled,
+        "targets": table.targets,
+        "richardson": table.richardson() if doubling else None,
+    }
 
 
 def _cmd_locus(args):
     from .analysis import endpoint_locus
 
     result = endpoint_locus(args.n, samples=args.samples)
-    if args.format == "csv":
-        _emit_csv("branch,t,zeta,xi", "%s,%.17g,%.17g,%.17g\n",
-                  ((branch.name, *point)
-                   for branch in (result.y_plus, result.y_minus)
-                   for point in zip(branch.t, branch.zeta, branch.xi)),
-                  args.out)
-    else:
-        _emit_json({
-            "n": result.n,
-            "branches": {
-                b.name: {"t": [float(v) for v in b.t],
-                         "zeta": [float(v) for v in b.zeta],
-                         "xi": [float(v) for v in b.xi]}
-                for b in (result.y_plus, result.y_minus)
-            },
-        }, args.out)
-    return 0
+    branches = (result.y_plus, result.y_minus)
+    return ("branch,t,zeta,xi", "%s,%.17g,%.17g,%.17g\n",
+            ((b.name, *point) for b in branches
+             for point in zip(b.t, b.zeta, b.xi))), {
+        "n": result.n,
+        "branches": {b.name: {"t": b.t, "zeta": b.zeta, "xi": b.xi}
+                     for b in branches},
+    }
 
 
 def _build_parser():
@@ -483,7 +451,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.out:
             _check_out_dir(args.out)
-        return args.func(args)
+        table, doc = args.func(args)
+        if args.format == "csv":
+            _emit_csv(*table, args.out)
+        else:
+            _emit_json(doc, args.out)
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -135,14 +135,21 @@ def metric_band_extended(n, omega, u):
 
 
 def _band_values(n, omega, seed):
-    """Band entries 1, seed, seed*(1-iw), seed*(1-iw)^2, ... cumulatively."""
+    """Band entries 1, seed, seed*(1-iw), seed*(1-iw)^2, ... cumulatively.
+
+    Entries past the float range raise ValueError: they would make the
+    matrix non-finite, not a metric."""
     mult = complex(1.0, -omega)
     band = np.empty(n, dtype=complex)
     band[0] = 1.0
     if n > 1:
         band[1] = seed
-        for k in range(2, n):
-            band[k] = _cmul(band[k - 1], mult)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(2, n):
+                band[k] = _cmul(band[k - 1], mult)
+    if not np.isfinite(band).all():
+        raise ValueError(f"the band entries overflow the float range at "
+                         f"n = {n}, omega = {float(omega)!r}")
     return band
 
 

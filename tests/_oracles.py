@@ -26,7 +26,11 @@ elements, the fixed-rank nullspace returns its basis bit for bit.
 Aberth oracle and the whole-grid bisection keep.  ``g17`` and
 ``csv_table`` are the earlier CLI formatter, which built every CSV table
 as one string of comma-joined fields; the streamed tables keep its bytes.
+``c2``, the ``*_json`` documents and ``json_text`` are the earlier JSON
+writer, which converted every value to a list or Python scalar and dumped
+the document as one string; the streamed documents keep its bytes.
 """
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -733,3 +737,130 @@ def csv_table(header, rows):
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def c2(value):
+    """A complex number as the earlier CLI wrote it in JSON: [re, im]."""
+    value = complex(value)
+    return [value.real, value.imag]
+
+
+def json_text(doc):
+    """The earlier CLI document: ``doc`` dumped whole with indent 2, then
+    one LF."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# The earlier CLI's JSON documents, built from the public API's results
+# with its own conversions: ``c2`` for each complex number, ``float`` and
+# ``bool`` for each numpy scalar.
+
+def params_json(params):
+    if params.coupling_style == "xizeta":
+        return {"xi": params.xi, "zeta": params.zeta}
+    return {"omega": params.omega, "rho": params.rho}
+
+
+def spectrum_json(params, spec):
+    return {
+        "n": params.n,
+        "params": params_json(params),
+        "convention": params.convention,
+        "results": [{"y": c2(y), "energy": c2(e), "is_real": bool(r)}
+                    for y, e, r in zip(spec.y_roots, spec.energies,
+                                       spec.is_real)],
+    }
+
+
+def wavefn_json(params, index, wf):
+    return {
+        "n": params.n,
+        "params": params_json(params),
+        "convention": params.convention,
+        "index": index,
+        "y": c2(wf.y),
+        "energy": c2(wf.energy),
+        "residual": wf.residual,
+        "components": [c2(c) for c in wf.components],
+    }
+
+
+def metric_json(theta, eigs):
+    return {
+        "n": theta.n,
+        "family": theta.family,
+        "params": theta.params,
+        "eigenvalues": [float(e) for e in eigs],
+        "min_eigenvalue": float(eigs[0]),
+        "positive_definite": bool(eigs[0] > 0.0),
+    }
+
+
+def verify_json(report, max_wavefn_residual):
+    return {
+        "n": report.n,
+        "family": report.family,
+        "params": report.params,
+        "dieudonne_residual": report.dieudonne_residual,
+        "min_metric_eigenvalue": report.min_eigenvalue,
+        "positive_definite": report.positive_definite,
+        "max_wavefn_residual": max_wavefn_residual,
+    }
+
+
+def nullspace_json(params, basis):
+    return {
+        "n": params.n,
+        "params": params_json(params),
+        "dimension": len(basis),
+        "elements": [[[c2(v) for v in row] for row in b.matrix]
+                     for b in basis],
+    }
+
+
+def sweep_json(result):
+    return {
+        "n": result.n,
+        "axis": result.axis,
+        "fixed": result.fixed,
+        "convention": result.convention,
+        "values": [float(v) for v in result.values],
+        "energies": [[c2(e) for e in row] for row in result.energies],
+        "is_real": [[bool(r) for r in row] for row in result.is_real],
+    }
+
+
+def critical_json(result, xi_steps):
+    return {
+        "n": result.n,
+        "value": result.value,
+        "bracket": [result.value, result.value],
+        "xi_max": result.xi_max,
+        "xi_steps": xi_steps,
+    }
+
+
+def continuum_json(table):
+    ms = table.ms
+    doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
+    return {
+        "ms": ms,
+        "levels": table.levels,
+        "energies": [[float(v) for v in row] for row in table.energies],
+        "rescaled": [[float(v) for v in row] for row in table.rescaled],
+        "targets": [float(v) for v in table.targets],
+        "richardson": ([float(v) for v in table.richardson()]
+                       if doubling else None),
+    }
+
+
+def locus_json(result):
+    return {
+        "n": result.n,
+        "branches": {
+            b.name: {"t": [float(v) for v in b.t],
+                     "zeta": [float(v) for v in b.zeta],
+                     "xi": [float(v) for v in b.xi]}
+            for b in (result.y_plus, result.y_minus)
+        },
+    }

@@ -107,6 +107,14 @@ def test_positivity_sweep_rejects_a_descending_range():
     assert res.edge_negative == pytest.approx(-0.20906, abs=1e-5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_positivity_sweep_names_a_band_overflow():
+    # At |omega| = 1e200 the band entries of n = 8 pass the float range;
+    # the products used to warn and end in "not exactly Hermitian".
+    with pytest.raises(ValueError, match=r"overflow .* omega = -1e\+200"):
+        metric_positivity_sweep("band", 8, -1e200, 1e200, 5)
+
+
 def test_sweep_values_follow_the_range_as_given():
     assert sweep_xi(4, 0.2, 1.0, 0.0, 3).values.tolist() == [1.0, 0.5, 0.0]
 

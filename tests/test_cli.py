@@ -14,7 +14,9 @@ from hermitize.errors import NoConvergence
 from hermitize.families import FAMILIES
 from hermitize.model import ModelParams
 
-from _oracles import csv_table, g17
+from _oracles import (continuum_json, critical_json, csv_table, g17,
+                      json_text, locus_json, metric_json, nullspace_json,
+                      spectrum_json, sweep_json, verify_json, wavefn_json)
 
 
 def _run(capsys, *argv):
@@ -704,26 +706,201 @@ def test_csv_tables_keep_the_earlier_formatter_bytes(capsys, argv, table):
     assert out == table()
 
 
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sweep_peaks(out, *fmt):
+    """Traced peaks of ``sweep_xi`` and of the CLI writing its 20,000-step
+    sweep to ``out``."""
+    analysis.sweep_xi(8, 0.2, 0.0, 3.0, 20)  # any first-call state
+    argv = ["sweep", "--n", "8", "--axis", "xi", "--min", "0", "--max", "3",
+            "--steps", "20000", "--zeta", "0.2", "--out", str(out), *fmt]
+    solve = _traced_peak(lambda: analysis.sweep_xi(8, 0.2, 0.0, 3.0, 20000))
+    codes = []
+    written = _traced_peak(lambda: codes.append(cli.main(argv)))
+    assert codes == [0] and out.stat().st_size > 7_000_000
+    return written, solve
+
+
 def test_sweep_table_memory_is_that_of_its_solve(tmp_path):
     # The table is formatted as it is written, so the CLI holds the solved
     # arrays and one row, not 160,000 formatted rows (8.7 times the solve's
     # peak when the table was built whole).
-    import tracemalloc
-
-    def traced_peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    analysis.sweep_xi(8, 0.2, 0.0, 3.0, 20)  # any first-call state
-    out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--n", "8", "--axis", "xi", "--min", "0", "--max", "3",
-            "--steps", "20000", "--zeta", "0.2", "--out", str(out)]
-    solve = traced_peak(lambda: analysis.sweep_xi(8, 0.2, 0.0, 3.0, 20000))
-    codes = []
-    table = traced_peak(lambda: codes.append(cli.main(argv)))
-    assert codes == [0] and out.stat().st_size > 7_000_000
+    table, solve = _sweep_peaks(tmp_path / "sweep.csv")
     assert table <= 1.5 * solve, (table, solve)
+
+
+def test_sweep_json_memory_is_that_of_its_solve(tmp_path):
+    # The document is encoded as it is written, a few thousand pieces at a
+    # time (12.6 times the solve's peak when it was dumped whole).
+    document, solve = _sweep_peaks(tmp_path / "sweep.json", "--format",
+                                   "json")
+    assert document <= 1.5 * solve, (document, solve)
+
+
+# Every JSON document against the earlier writer (tests/_oracles.py: each
+# value converted to lists and Python scalars, then one json.dumps)
+# applied to the results of the public API at the same arguments.
+def _spectrum_doc(n, convention="lattice", **coupling):
+    params = ModelParams(n=n, convention=convention, **coupling)
+    return spectrum_json(params, spectrum.solve_spectrum(params))
+
+
+def _wavefn_doc(n, index, convention="lattice", **coupling):
+    params = ModelParams(n=n, convention=convention, **coupling)
+    y = spectrum.solve_spectrum(params).y_roots[index]
+    return wavefn_json(params, index, spectrum.wavefunction(params, y))
+
+
+def _metric_doc(family, n, **values):
+    theta = FAMILIES[family].build(n, **values)
+    return metric_json(theta, metric.hermitian_eigenvalues(theta))
+
+
+def _verify_doc(family, n, **values):
+    fam = FAMILIES[family]
+    theta = fam.build(n, **values)
+    params = ModelParams(n=n, **{fam.swept: values[fam.swept],
+                                 fam.held: 0.0})
+    spec = spectrum.solve_spectrum(params, with_wavefunctions=True)
+    return verify_json(metric.verify_metric(params, theta),
+                       max(w.residual for w in spec.wavefunctions))
+
+
+def _nullspace_doc(n, **coupling):
+    params = ModelParams(n=n, **coupling)
+    return nullspace_json(params, metric.dieudonne_nullspace(params))
+
+
+_JSON_CASES = {
+    "spectrum": (("spectrum", "--n", "7", "--xi", "1.1", "--zeta", "0.6"),
+                 lambda: _spectrum_doc(7, xi=1.1, zeta=0.6)),
+    "spectrum-shifted": (
+        ("spectrum", "--n", "5", "--omega", "1.3", "--rho", "-0.2",
+         "--convention", "shifted"),
+        lambda: _spectrum_doc(5, "shifted", omega=1.3, rho=-0.2)),
+    "wavefn": (("wavefn", "--n", "6", "--xi", "0.4", "--zeta", "0.3",
+                "--index", "2"),
+               lambda: _wavefn_doc(6, 2, xi=0.4, zeta=0.3)),
+    "wavefn-shifted": (("wavefn", "--n", "5", "--omega", "0.7", "--index",
+                        "4", "--convention", "shifted"),
+                       lambda: _wavefn_doc(5, 4, "shifted", omega=0.7)),
+    "metric": (("metric", "--n", "9", "--family", "band", "--omega", "0.3"),
+               lambda: _metric_doc("band", 9, omega=0.3)),
+    "metric-n3": (("metric", "--n", "3", "--family", "n3_general", "--xi",
+                   "0.7", "--r", "1.5"),
+                  lambda: _metric_doc("n3_general", 3, xi=0.7, r=1.5, s=1.0,
+                                      u=0.0)),
+    "verify": (("verify", "--n", "6", "--family", "band_u", "--omega",
+                "0.2", "--u", "0.1"),
+               lambda: _verify_doc("band_u", 6, omega=0.2, u=0.1)),
+    "verify-n4": (("verify", "--n", "4", "--family", "n4_special", "--xi",
+                   "0.5"),
+                  lambda: _verify_doc("n4_special", 4, xi=0.5)),
+    "nullspace": (("nullspace", "--n", "4", "--xi", "0.5", "--zeta", "0.2"),
+                  lambda: _nullspace_doc(4, xi=0.5, zeta=0.2)),
+    "nullspace-cartesian": (
+        ("nullspace", "--n", "3", "--omega", "0.5", "--rho", "0.1"),
+        lambda: _nullspace_doc(3, omega=0.5, rho=0.1)),
+    "sweep-xi": (("sweep", "--n", "5", "--axis", "xi", "--min", "0",
+                  "--max", "1.5", "--steps", "7", "--zeta", "0.2"),
+                 lambda: sweep_json(analysis.sweep_xi(5, 0.2, 0.0, 1.5, 7))),
+    "sweep-zeta-shifted": (
+        ("sweep", "--n", "4", "--axis", "zeta", "--min", "-0.5", "--max",
+         "0.8", "--steps", "6", "--xi", "0.6", "--convention", "shifted"),
+        lambda: sweep_json(analysis.sweep_zeta(4, 0.6, -0.5, 0.8, 6,
+                                               convention="shifted"))),
+    "critical": (("critical", "--n", "6", "--xi-steps", "30"),
+                 lambda: critical_json(analysis.critical_zeta(6), 30)),
+    "continuum": (("continuum", "--m", "10,20,40", "--levels", "3"),
+                  lambda: continuum_json(
+                      analysis.continuum_convergence([10, 20, 40], 3))),
+    "continuum-not-doubling": (
+        ("continuum", "--m", "10,30"),
+        lambda: continuum_json(analysis.continuum_convergence([10, 30]))),
+    "continuum-one-size": (
+        ("continuum", "--m", "10"),
+        lambda: continuum_json(analysis.continuum_convergence([10]))),
+    "locus": (("locus", "--n", "4", "--samples", "5"),
+              lambda: locus_json(analysis.endpoint_locus(4, samples=5))),
+}
+
+
+@pytest.mark.parametrize("argv, doc", list(_JSON_CASES.values()),
+                         ids=list(_JSON_CASES))
+def test_json_documents_keep_the_earlier_writer_bytes(capsys, argv, doc):
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json_text(doc())
+
+
+@pytest.mark.parametrize("case", ["sweep-zeta-shifted", "nullspace",
+                                  "continuum-not-doubling"])
+def test_json_out_file_keeps_the_earlier_writer_bytes(capsys, tmp_path,
+                                                      case):
+    argv, doc = _JSON_CASES[case]
+    out = tmp_path / "doc.json"
+    code, stdout, err = _run(capsys, *argv, "--format", "json", "--out",
+                             str(out))
+    assert (code, stdout, err) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == json_text(doc())
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Ellipsis],
+                         ids=["object", "set", "bytes", "ellipsis"])
+def test_json_hook_refuses_a_type_it_does_not_know(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        cli._jsonable(value)
+
+
+def test_json_hook_converts_numpy_values():
+    rows = np.array([[1 + 2j, -3j], [np.inf, 5j]])
+    assert cli._jsonable(3 - 4j) == [3.0, -4.0]
+    assert [cli._jsonable(row) for row in cli._jsonable(rows)] == [
+        [[1.0, 2.0], [0.0, -3.0]], [[np.inf, 0.0], [0.0, 5.0]]]
+    # A strided column, not contiguous in memory.
+    assert cli._jsonable(rows[:, 1]) == [[0.0, -3.0], [0.0, 5.0]]
+    assert cli._jsonable(np.array([True, False])) == [True, False]
+    assert cli._jsonable(np.bool_(True)) is True
+    assert type(cli._jsonable(np.int64(7))) is int
+
+
+def test_closed_pipe_during_a_json_sweep_ends_with_141():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hermitize.cli", "sweep", "--n", "8",
+         "--axis", "xi", "--min", "0", "--max", "3", "--steps", "20000",
+         "--zeta", "0.2", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env())
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+@pytest.mark.parametrize("argv", [
+    ("metric", "--n", "8", "--family", "band", "--omega", "1e200"),
+    ("metric", "--n", "8", "--family", "band", "--omega", "1e45"),
+    ("verify", "--n", "8", "--family", "band", "--omega", "-1e200"),
+    ("verify", "--n", "8", "--family", "band_u", "--omega", "1e45", "--u",
+     "1"),
+], ids=["metric-1e200", "metric-1e45", "verify-1e200", "verify-band_u"])
+def test_band_overflow_is_one_error_line_naming_it(argv):
+    # Warnings as errors: a numpy overflow warning would end in a
+    # traceback.
+    proc = _run_python("-W", "error", "-m", "hermitize.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    omega = float(argv[argv.index("--omega") + 1])
+    assert proc.stderr == ("error: the band entries overflow the float "
+                           f"range at n = 8, omega = {omega!r}\n")
