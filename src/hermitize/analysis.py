@@ -1,7 +1,8 @@
 """Parameter-space studies: reality regions, positivity, continuum limit.
 
 ``critical_zeta`` and ``CriticalResult`` live in ``hermitize.critical``
-and are re-exported here.
+and are re-exported here.  The continuum table and the endpoint loci are
+computed in ``hermitize.closedform`` and wrapped here as arrays.
 
 The sweeps solve all couplings of a grid in one batched call, in the
 calling thread.  The solver treats every coupling independently of the
@@ -13,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import closedform
 # Re-exported, so that hermitize.analysis.critical_zeta keeps working.
 from .critical import CriticalResult, critical_zeta
 from .errors import SingularParameters
 from .families import FAMILIES
 from .metric import hermitian_eigenvalues
-from .model import (_check_count, _check_tolerance, check_size, energy_from_y,
-                    is_integer)
+from .model import _check_count, _check_tolerance, check_size, energy_from_y
 from .spectrum import _check_max_iter, _solve_batch, reality_flags
 
 
@@ -321,17 +322,8 @@ class ContinuumTable:
         numpy.ndarray
             One extrapolated value per level.
         """
-        ms = self.ms
-        for a, b in zip(ms, ms[1:]):
-            if b != 2 * a:
-                raise ValueError("Richardson extrapolation needs a "
-                                 "doubling M sequence")
-        tab = self.rescaled.copy()
-        rows = tab.shape[0]
-        for j in range(1, rows):
-            fac = 2.0 ** j
-            tab = (fac * tab[1:] - tab[:-1]) / (fac - 1.0)
-        return tab[0]
+        return np.array(closedform.richardson(self.ms,
+                                              self.rescaled.tolist()))
 
 
 def continuum_convergence(ms, levels=2):
@@ -352,25 +344,10 @@ def continuum_convergence(ms, levels=2):
     -------
     ContinuumTable
     """
-    _check_count("levels", levels)
-    ms = list(ms)
-    if not ms:
-        raise ValueError("ms must name at least one size")
-    if not all(is_integer(m) for m in ms):
-        raise ValueError(f"each M must be an integer, got {ms}")
-    ms = [int(m) for m in ms]
-    if any(m < levels for m in ms):
-        raise ValueError("each M must be at least the number of levels")
-    k = np.arange(1, levels + 1)
-    energies = np.empty((len(ms), levels))
-    rescaled = np.empty_like(energies)
-    for i, m in enumerate(ms):
-        e = 2.0 - 2.0 * np.cos(k * np.pi / (2.0 * m))
-        energies[i] = e
-        rescaled[i] = e * ((2.0 * m + 1.0) / 2.0) ** 2
-    targets = (k * np.pi / 2.0) ** 2
-    return ContinuumTable(ms=ms, levels=levels, energies=energies,
-                          rescaled=rescaled, targets=targets)
+    ms, energies, rescaled, targets = closedform.continuum_levels(ms, levels)
+    return ContinuumTable(ms=ms, levels=levels, energies=np.array(energies),
+                          rescaled=np.array(rescaled),
+                          targets=np.array(targets))
 
 
 @dataclass
@@ -414,23 +391,17 @@ def endpoint_locus(n, samples=20, t=None):
     -------
     LocusResult
     """
-    check_size(n)
+    if t is not None:
+        t = np.asarray(t, dtype=float)
+    values, plus, minus = closedform.endpoint_locus(
+        n, samples, None if t is None else t.ravel().tolist())
     if t is None:
-        _check_count("samples", samples)
-        t = np.linspace(0.0, 1.0, samples)
-    t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        raise ValueError("t must hold at least one value")
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise ValueError("parameter values must lie in [0, 1]")
+        t = np.array(values)
 
-    zeta_p = t * 2.0 / (n + 1.0)
-    xi_p = np.sqrt(np.maximum(2.0 * zeta_p / (n + 1.0) - zeta_p ** 2, 0.0))
-    plus = LocusBranch(name="y_plus", t=t, zeta=zeta_p, xi=xi_p)
+    def branch(name, zeta, xi):
+        return LocusBranch(name=name, t=t,
+                           zeta=np.array(zeta).reshape(t.shape),
+                           xi=np.array(xi).reshape(t.shape))
 
-    rho_lo = 2.0 - 2.0 / (n + 1.0)
-    rho = rho_lo + t * (2.0 - rho_lo)
-    zeta_m = (4.0 * n + (n + 1.0) * rho ** 2) / (4.0 * n + 2.0)
-    xi_m = np.sqrt(np.maximum(rho ** 2 - zeta_m ** 2, 0.0))
-    minus = LocusBranch(name="y_minus", t=t, zeta=zeta_m, xi=xi_m)
-    return LocusResult(n=n, y_plus=plus, y_minus=minus)
+    return LocusResult(n=n, y_plus=branch("y_plus", *plus),
+                       y_minus=branch("y_minus", *minus))

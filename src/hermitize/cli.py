@@ -19,17 +19,19 @@ entry and returns the exit code.
 
 import argparse
 import errno
+import functools
 import itertools
-import json
 import os
 import re
 import signal
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 # Only numpy-free modules here: each command imports the numeric module it
-# needs after its own checks, so a call that fails before any solve, and
-# ``critical`` in closed form, never load numpy.
+# needs after its own checks, so a call that fails before any solve,
+# ``critical`` in closed form, ``continuum`` and ``locus`` never load numpy.
+from .closedform import continuum_levels, endpoint_locus, richardson
 from .critical import critical_zeta
 from .errors import NoConvergence, SingularParameters
 from .families import FAMILIES
@@ -116,11 +118,97 @@ def _jsonable(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# JSON as ``json.dumps(doc, indent=2, default=_jsonable)`` writes it.  The
+# encoder runs in pure Python when it indents, one generator frame per
+# value, so an array of numbers is written here a row at a time instead:
+# one %-format of the row's numbers, each ``float.__repr__``, laid out as
+# the encoder lays it out.
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+# float.__repr__ writes these three; json writes NaN, Infinity, -Infinity.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value):
+    """The JSON text of a str, number, bool or None; None for any other
+    value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _row_format(size, pairs, indent):
+    """The %-format of a JSON array of ``size`` numbers, or of ``size``
+    [re, im] pairs, whose closing bracket is at ``indent``."""
+    inner = indent + "  "
+    item = f"[\n{inner}  %s,\n{inner}  %s\n{inner}]" if pairs else "%s"
+    return (f"[\n{inner}" + f",\n{inner}".join([item] * size)
+            + f"\n{indent}]")
+
+
+def _json_row(value, indent):
+    """The JSON text of a non-empty 1-D float, complex or bool array; None
+    for any other value."""
+    if getattr(value, "ndim", None) != 1 or not value.size:
+        return None
+    code = value.dtype.char
+    if code == "d":
+        texts = map(float.__repr__, value.tolist())
+    elif code == "D":
+        texts = map(float.__repr__, itertools.chain.from_iterable(
+            zip(value.real.tolist(), value.imag.tolist())))
+    elif code == "?":
+        texts = map(_JSON_CONSTANTS.__getitem__, value.tolist())
+    else:
+        return None
+    text = _row_format(value.size, code == "D", indent) % tuple(texts)
+    # Of the number texts only nan, inf and -inf hold an "n".
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_chunks(value, indent=""):
+    """The JSON text of ``value`` in pieces: one per row of an array, as
+    ``_json_row`` writes it, and one per other value."""
+    text = _json_scalar(value)
+    if text is None:
+        text = _json_row(value, indent)
+    if text is not None:
+        yield text
+        return
+    if isinstance(value, dict):
+        # The documents have str keys; any other key is a TypeError.
+        items = ((encode_basestring_ascii(k) + ": ", v)
+                 for k, v in value.items())
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = (("", v) for v in value)
+        brackets = "[]"
+    else:
+        yield from _json_chunks(_jsonable(value), indent)
+        return
+    inner = indent + "  "
+    opening = sep = brackets[0] + "\n" + inner
+    for key, item in items:
+        yield sep + key
+        yield from _json_chunks(item, inner)
+        sep = ",\n" + inner
+    yield brackets if sep is opening else "\n" + indent + brackets[1]
+
+
 def _emit_json(doc, out):
-    """``doc`` as indented JSON, encoded as it is written: the encoder's
-    pieces go out joined 4,096 at a time, so the text is never held whole
-    and the writes are few."""
-    pieces = json.JSONEncoder(indent=2, default=_jsonable).iterencode(doc)
+    """``doc`` as indented JSON, encoded as it is written: the pieces go
+    out joined 4,096 at a time, so the text is never held whole and the
+    writes are few."""
+    pieces = _json_chunks(doc)
     batches = iter(lambda: "".join(itertools.islice(pieces, 4096)), "")
     _emit(itertools.chain(batches, ("\n",)), out)
 
@@ -332,35 +420,30 @@ def _cmd_continuum(args):
         raise _UsageError("--m must be a comma-separated integer list")
     if not ms:
         raise _UsageError("--m must name at least one size")
-    from .analysis import continuum_convergence
-
-    table = continuum_convergence(ms, levels=args.levels)
+    ms, energies, rescaled, targets = continuum_levels(ms, args.levels)
     doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
     return ("m,level,energy,rescaled,target", "%d,%d,%.17g,%.17g,%.17g\n",
-            ((m, k, table.energies[i, k], table.rescaled[i, k],
-              table.targets[k])
-             for i, m in enumerate(table.ms)
-             for k in range(table.levels))), {
-        "ms": table.ms,
-        "levels": table.levels,
-        "energies": table.energies,
-        "rescaled": table.rescaled,
-        "targets": table.targets,
-        "richardson": table.richardson() if doubling else None,
+            ((m, k, *values)
+             for m, row, scaled in zip(ms, energies, rescaled)
+             for k, values in enumerate(zip(row, scaled, targets)))), {
+        "ms": ms,
+        "levels": args.levels,
+        "energies": energies,
+        "rescaled": rescaled,
+        "targets": targets,
+        "richardson": richardson(ms, rescaled) if doubling else None,
     }
 
 
 def _cmd_locus(args):
-    from .analysis import endpoint_locus
-
-    result = endpoint_locus(args.n, samples=args.samples)
-    branches = (result.y_plus, result.y_minus)
+    t, *branches = endpoint_locus(args.n, samples=args.samples)
+    names = ("y_plus", "y_minus")
     return ("branch,t,zeta,xi", "%s,%.17g,%.17g,%.17g\n",
-            ((b.name, *point) for b in branches
-             for point in zip(b.t, b.zeta, b.xi))), {
-        "n": result.n,
-        "branches": {b.name: {"t": b.t, "zeta": b.zeta, "xi": b.xi}
-                     for b in branches},
+            ((name, *point) for name, (zeta, xi) in zip(names, branches)
+             for point in zip(t, zeta, xi))), {
+        "n": args.n,
+        "branches": {name: {"t": t, "zeta": zeta, "xi": xi}
+                     for name, (zeta, xi) in zip(names, branches)},
     }
 
 
@@ -469,6 +552,12 @@ def main(argv=None):
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # A size too large to hold: numpy names the array it could not
+        # allocate, ``closedform`` the list.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

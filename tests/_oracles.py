@@ -29,6 +29,12 @@ as one string of comma-joined fields; the streamed tables keep its bytes.
 ``c2``, the ``*_json`` documents and ``json_text`` are the earlier JSON
 writer, which converted every value to a list or Python scalar and dumped
 the document as one string; the streamed documents keep its bytes.
+``jsonable`` is the earlier ``default`` hook of the streamed writer, and
+``json_hooked`` the text that ``json`` writes with it, which the writer of
+arrays a row at a time keeps byte for byte.  ``continuum_arrays``,
+``richardson_arrays`` and ``locus_arrays`` are the earlier numpy
+evaluations of the continuum table and the endpoint loci, which the
+``math`` ones keep bit for bit.
 """
 import json
 from collections import namedtuple
@@ -864,3 +870,61 @@ def locus_json(result):
             for b in (result.y_plus, result.y_minus)
         },
     }
+
+
+def jsonable(value):
+    """The earlier ``default`` hook: a complex number as [re, im], a numpy
+    array as lists (a 2-D array row by row), a numpy scalar as its Python
+    value."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.ndarray):
+        if value.ndim > 1:
+            return list(value)
+        if np.iscomplexobj(value):
+            value = np.ascontiguousarray(value).view(float).reshape(-1, 2)
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def json_hooked(doc):
+    """``doc`` as the encoder writes it with ``jsonable``, indent 2."""
+    return json.dumps(doc, indent=2, default=jsonable)
+
+
+def continuum_arrays(ms, levels):
+    """The earlier numpy continuum table: (energies, rescaled, targets)."""
+    k = np.arange(1, levels + 1)
+    energies = np.empty((len(ms), levels))
+    rescaled = np.empty_like(energies)
+    for i, m in enumerate(ms):
+        e = 2.0 - 2.0 * np.cos(k * np.pi / (2.0 * m))
+        energies[i] = e
+        rescaled[i] = e * ((2.0 * m + 1.0) / 2.0) ** 2
+    targets = (k * np.pi / 2.0) ** 2
+    return energies, rescaled, targets
+
+
+def richardson_arrays(rescaled):
+    """The earlier numpy Richardson tableau over a doubling M sequence."""
+    tab = rescaled.copy()
+    for j in range(1, tab.shape[0]):
+        fac = 2.0 ** j
+        tab = (fac * tab[1:] - tab[:-1]) / (fac - 1.0)
+    return tab[0]
+
+
+def locus_arrays(n, samples=20, t=None):
+    """The earlier numpy endpoint loci: (t, zeta+, xi+, zeta-, xi-)."""
+    if t is None:
+        t = np.linspace(0.0, 1.0, samples)
+    t = np.asarray(t, dtype=float)
+    zeta_p = t * 2.0 / (n + 1.0)
+    xi_p = np.sqrt(np.maximum(2.0 * zeta_p / (n + 1.0) - zeta_p ** 2, 0.0))
+    rho_lo = 2.0 - 2.0 / (n + 1.0)
+    rho = rho_lo + t * (2.0 - rho_lo)
+    zeta_m = (4.0 * n + (n + 1.0) * rho ** 2) / (4.0 * n + 2.0)
+    xi_m = np.sqrt(np.maximum(rho ** 2 - zeta_m ** 2, 0.0))
+    return t, zeta_p, xi_p, zeta_m, xi_m

@@ -15,8 +15,9 @@ from hermitize.families import FAMILIES
 from hermitize.model import ModelParams
 
 from _oracles import (continuum_json, critical_json, csv_table, g17,
-                      json_text, locus_json, metric_json, nullspace_json,
-                      spectrum_json, sweep_json, verify_json, wavefn_json)
+                      json_hooked, json_text, locus_json, metric_json,
+                      nullspace_json, spectrum_json, sweep_json, verify_json,
+                      wavefn_json)
 
 
 def _run(capsys, *argv):
@@ -904,3 +905,127 @@ def test_band_overflow_is_one_error_line_naming_it(argv):
     omega = float(argv[argv.index("--omega") + 1])
     assert proc.stderr == ("error: the band entries overflow the float "
                            f"range at n = 8, omega = {omega!r}\n")
+
+
+# The writer of numeric rows against the encoder with the earlier hook
+# (tests/_oracles.py), on edge values and on every command's document.
+_EDGE_DOCS = {
+    "nan-inf-zero": [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308],
+    "float-array": np.array([np.nan, -np.inf, np.inf, -0.0, 1.5, 1e-300]),
+    "empty-1d": np.array([]),
+    "empty-2d": np.zeros((0, 3)),
+    "empty-rows": np.zeros((2, 0)),
+    "complex-2d": np.array([[1 + 2j, complex(np.nan, -0.0)],
+                            [complex(np.inf, -np.inf), -3j]]),
+    "complex-column": np.array([[1 + 2j, 3 - 4j], [5j, 6.5]])[:, 1],
+    "complex-3d": np.arange(12.0).reshape(2, 3, 2) * (1 - 1j),
+    "bool-2d": np.array([[True, False], [False, True]]),
+    "numpy-scalars": [np.bool_(True), np.bool_(False), np.int64(-7),
+                      np.float64(np.nan), np.complex128(1 - 2j),
+                      np.float32(0.1), np.array(2.5), np.array(1 + 1j)],
+    "other-arrays": [np.arange(4), np.arange(3, dtype=np.float32),
+                     np.array([1 + 1j, 2], dtype=np.complex64)],
+    "nested": {"a": {"b": {"c": [1, 2.5, None, True, "x\u00e9\""]}},
+               "e": {}, "f": [], "g": [[]], "h": (1.0, -0.0),
+               "i": [[0.1, 0.2], [np.array([0.3])]], "j": None},
+    "scalars": [None, True, False, 0, -12345678901234567890, 3 - 4j],
+}
+
+
+@pytest.mark.parametrize("doc", list(_EDGE_DOCS.values()),
+                         ids=list(_EDGE_DOCS))
+def test_json_rows_keep_the_encoder_bytes(doc):
+    assert "".join(cli._json_chunks(doc)) == json_hooked(doc)
+
+
+def _command_doc(argv):
+    args = cli._build_parser().parse_args(list(argv))
+    return args.func(args)[1]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _JSON_CASES.values()],
+                         ids=list(_JSON_CASES))
+def test_json_rows_keep_the_encoder_bytes_on_every_command(argv):
+    doc = _command_doc(argv)
+    assert "".join(cli._json_chunks(doc)) == json_hooked(doc)
+
+
+def test_json_writer_refuses_unknown_values_and_keys_that_are_not_str():
+    # The program's documents have str keys only; the encoder would write
+    # 1.5 or None as a key, the writer refuses them.
+    for doc in ({"k": object()}, {(1, 2): 3}, {1.5: 0}, {None: 0}):
+        with pytest.raises(TypeError):
+            "".join(cli._json_chunks(doc))
+
+
+def test_large_json_sweep_encodes_twice_as_fast_as_the_encoder():
+    # The 20,000-step document; the encoder's indent runs in pure Python.
+    import time
+
+    doc = _command_doc(["sweep", "--n", "8", "--axis", "xi", "--min", "0",
+                        "--max", "3", "--steps", "20000", "--zeta", "0.2"])
+
+    def seconds(encode):
+        start = time.perf_counter()
+        text = encode()
+        return time.perf_counter() - start, text
+
+    encoder = json.JSONEncoder(indent=2, default=cli._jsonable)
+    old, new = [], []
+    for _ in range(3):
+        elapsed, old_text = seconds(lambda: "".join(encoder.iterencode(doc)))
+        old.append(elapsed)
+        elapsed, new_text = seconds(lambda: "".join(cli._json_chunks(doc)))
+        new.append(elapsed)
+    assert new_text == old_text
+    assert min(old) >= 2.0 * min(new), (old, new)
+
+
+_HUGE = "100000000000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("continuum", "--m", "1" + "0" * 400), "M = 1" + "0" * 400
+     + " is too large: ((2 M + 1) / 2)^2 overflows the float range"),
+    (("continuum", "--m", "4," + str(2 ** 600)), f"M = {2 ** 600} is too "
+     "large: ((2 M + 1) / 2)^2 overflows the float range"),
+    (("locus", "--n", "1" + "0" * 400), "n = 1" + "0" * 400
+     + " is too large: n + 1 overflows the float range"),
+    (("locus", "--n", "4", "--samples", _HUGE),
+     f"out of memory: cannot hold {_HUGE} floats"),
+    (("continuum", "--m", _HUGE, "--levels", _HUGE),
+     f"out of memory: cannot hold {_HUGE} floats"),
+    (("sweep", "--n", "4", "--axis", "xi", "--min", "0", "--max", "1",
+      "--zeta", "0.2", "--steps", _HUGE), "out of memory: Unable to allocate"),
+    (("spectrum", "--n", _HUGE, "--omega", "0.5"),
+     "out of memory: Unable to allocate"),
+], ids=["continuum-m-1e400", "continuum-m-2^600", "locus-n-1e400",
+        "locus-samples", "continuum-levels", "sweep-steps", "spectrum-n"])
+def test_sizes_too_large_to_use_are_one_error_line(argv, message):
+    for fmt in ("csv", "json"):
+        proc = _run_process(*argv, "--format", fmt)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: " + message)
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_locus_fails_at_once_under_an_address_space_cap():
+    # Capped at 1 GiB, a list of 1e14 floats, or of 2e8 (1.6 GB of
+    # pointers), is refused at its allocation; a list grown item by item
+    # would fill the cap first.
+    code = (
+        "import resource, sys, time\n"
+        "cap = 1 << 30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "from hermitize.cli import main\n"
+        "for samples in ('100000000000000', '200000000'):\n"
+        "    start = time.perf_counter()\n"
+        "    code = main(['locus', '--n', '4', '--samples', samples])\n"
+        "    assert code == 1, code\n"
+        "    assert time.perf_counter() - start < 0.5\n"
+        "print('ok')\n")
+    proc = _run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+    assert proc.stderr == (
+        "error: out of memory: cannot hold 100000000000000 floats\n"
+        "error: out of memory: cannot hold 200000000 floats\n")

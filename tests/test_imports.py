@@ -2,9 +2,9 @@
 
 ``import hermitize`` resolves its public names on first use, and the CLI
 imports the numeric modules inside the commands, after their checks.  So
-``critical`` in closed form and every call that fails before a solve run
-without numpy.  The checks run in fresh interpreters, since this one has
-numpy loaded already.
+``critical`` in closed form, ``continuum``, ``locus`` and every call that
+fails before a solve run without numpy.  The checks run in fresh
+interpreters, since this one has numpy loaded already.
 """
 import json
 import os
@@ -58,6 +58,19 @@ def test_import_hermitize_loads_no_numpy():
 ])
 def test_calls_that_compute_nothing_numeric_load_no_numpy(argv, code):
     got, _, numpy_loaded = _cli_in_fresh_process(argv)
+    assert (got, numpy_loaded) == (code, False)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, code", [
+    (["continuum", "--m", "40,80,160"], 0),
+    (["locus", "--n", "5", "--samples", "20"], 0),
+    (["locus", "--n", "4", "--samples", "100000000000000"], 1),
+    (["continuum", "--m", "4," + "1" * 400], 1),
+], ids=["continuum", "locus", "locus-too-many-samples",
+        "continuum-too-large"])
+def test_closed_form_commands_load_no_numpy(argv, code, fmt):
+    got, _, numpy_loaded = _cli_in_fresh_process([*argv, "--format", fmt])
     assert (got, numpy_loaded) == (code, False)
 
 
