@@ -99,48 +99,13 @@ def _emit_csv(header, row, values, out):
     _emit(itertools.chain((header + "\n",), map(row.__mod__, values)), out)
 
 
-def _jsonable(value):
-    """The ``default`` hook of the JSON encoder: a complex number as
-    [re, im], a numpy array as lists (a 2-D array row by row), a numpy
-    scalar as its Python value."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        if value.ndim > 1:
-            return list(value)
-        if np.iscomplexobj(value):
-            value = np.ascontiguousarray(value).view(float).reshape(-1, 2)
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-# JSON as ``json.dumps(doc, indent=2, default=_jsonable)`` writes it.  The
-# encoder runs in pure Python when it indents, one generator frame per
-# value, so an array of numbers is written here a row at a time instead:
-# one %-format of the row's numbers, each ``float.__repr__``, laid out as
-# the encoder lays it out.
+# JSON as ``json.dumps(doc, indent=2)`` writes it (a complex number as
+# [re, im], an array as nested lists).  That encoder indents in pure Python,
+# one generator frame per value, so here a 1-D array is one %-format of its
+# numbers, each ``float.__repr__``, laid out as the encoder lays it out.
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 # float.__repr__ writes these three; json writes NaN, Infinity, -Infinity.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(value):
-    """The JSON text of a str, number, bool or None; None for any other
-    value."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOATS.get(text, text)
-    return None
 
 
 @functools.lru_cache(maxsize=64)
@@ -153,55 +118,59 @@ def _row_format(size, pairs, indent):
             + f"\n{indent}]")
 
 
-def _json_row(value, indent):
-    """The JSON text of a non-empty 1-D float, complex or bool array; None
-    for any other value."""
-    if getattr(value, "ndim", None) != 1 or not value.size:
-        return None
-    code = value.dtype.char
-    if code == "d":
-        texts = map(float.__repr__, value.tolist())
-    elif code == "D":
-        texts = map(float.__repr__, itertools.chain.from_iterable(
-            zip(value.real.tolist(), value.imag.tolist())))
-    elif code == "?":
-        texts = map(_JSON_CONSTANTS.__getitem__, value.tolist())
-    else:
-        return None
-    text = _row_format(value.size, code == "D", indent) % tuple(texts)
-    # Of the number texts only nan, inf and -inf hold an "n".
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
-
-
 def _json_chunks(value, indent=""):
-    """The JSON text of ``value`` in pieces: one per row of an array, as
-    ``_json_row`` writes it, and one per other value."""
-    text = _json_scalar(value)
-    if text is None:
-        text = _json_row(value, indent)
-    if text is not None:
+    """The JSON text of ``value`` in pieces, one per 1-D array and one per
+    other value.  It writes the types the documents hold: str, int, float,
+    bool, None, complex (as [re, im]), list, tuple, dict with str keys, and
+    float, complex or bool arrays (by rows); any other type is a TypeError.
+    """
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None or value is True or value is False:
+        yield _JSON_CONSTANTS[value]
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        yield _JSON_FLOATS.get(text, text)
+    elif (getattr(value, "ndim", 0) == 1 and value.size
+          and value.dtype.char in "dD?"):
+        code = value.dtype.char
+        if code == "d":
+            texts = map(float.__repr__, value.tolist())
+        elif code == "D":
+            texts = map(float.__repr__, itertools.chain.from_iterable(
+                zip(value.real.tolist(), value.imag.tolist())))
+        else:
+            texts = map(_JSON_CONSTANTS.__getitem__, value.tolist())
+        text = _row_format(value.size, code == "D", indent) % tuple(texts)
+        # Of the number texts only nan, inf and -inf hold an "n".
+        if "n" in text:
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
         yield text
-        return
-    if isinstance(value, dict):
-        # The documents have str keys; any other key is a TypeError.
-        items = ((encode_basestring_ascii(k) + ": ", v)
-                 for k, v in value.items())
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = (("", v) for v in value)
-        brackets = "[]"
     else:
-        yield from _json_chunks(_jsonable(value), indent)
-        return
-    inner = indent + "  "
-    opening = sep = brackets[0] + "\n" + inner
-    for key, item in items:
-        yield sep + key
-        yield from _json_chunks(item, inner)
-        sep = ",\n" + inner
-    yield brackets if sep is opening else "\n" + indent + brackets[1]
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        elif getattr(value, "ndim", 0) and value.dtype.char in "dD?":
+            value = list(value)  # the rows, or none of an empty array
+        if isinstance(value, dict):
+            # Any key that is not a str is a TypeError.
+            items = ((encode_basestring_ascii(k) + ": ", v)
+                     for k, v in value.items())
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            items = (("", v) for v in value)
+            brackets = "[]"
+        else:
+            raise TypeError(f"{type(value).__module__}.{type(value).__name__}"
+                            " is not JSON serializable")
+        inner = indent + "  "
+        opening = sep = brackets[0] + "\n" + inner
+        for key, item in items:
+            yield sep + key
+            yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+        yield brackets if sep is opening else "\n" + indent + brackets[1]
 
 
 def _emit_json(doc, out):
@@ -276,9 +245,9 @@ def _cmd_spectrum(args):
         "n": params.n,
         "params": _params_json(params),
         "convention": params.convention,
-        "results": [{"y": y, "energy": e, "is_real": r}
-                    for y, e, r in zip(spec.y_roots, spec.energies,
-                                       spec.is_real)],
+        "results": [{"y": y, "energy": e, "is_real": r} for y, e, r in zip(
+            spec.y_roots.tolist(), spec.energies.tolist(),
+            spec.is_real.tolist())],
     }
 
 
@@ -324,8 +293,8 @@ def _cmd_metric(args):
         "family": theta.family,
         "params": theta.params,
         "eigenvalues": eigs,
-        "min_eigenvalue": eigs[0],
-        "positive_definite": eigs[0] > 0.0,
+        "min_eigenvalue": float(eigs[0]),
+        "positive_definite": bool(eigs[0] > 0.0),
     }
 
 

@@ -126,6 +126,10 @@ def endpoint_locus(n, samples=20, t=None):
     except OverflowError:
         raise ValueError(f"n = {n} is too large: n + 1 overflows the float "
                          "range") from None
+    # The y = -1 numerator below is largest at rho = 2, where it is 8 n.
+    if 4.0 * n + n1 * 4.0 == math.inf:
+        raise ValueError(f"n = {n} is too large: 4 n + (n + 1) rho^2 "
+                         "overflows the float range")
     zeta_p, xi_p, zeta_m, xi_m = (_zeros(len(t)) for _ in range(4))
     rho_lo = 2.0 - 2.0 / n1
     for i, v in enumerate(t):

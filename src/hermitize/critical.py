@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import NoConvergence
-from .model import check_size
+from .model import _check_tolerance, check_size
 
 
 @dataclass
@@ -223,8 +223,7 @@ def critical_zeta(n, xi_max=10.0):
     CriticalResult
     """
     check_size(n)
-    if not (math.isfinite(xi_max) and xi_max > 0.0):
-        raise ValueError(f"xi_max must be finite and > 0, got {xi_max}")
+    _check_tolerance("xi_max", xi_max)
     theta = math.pi / (n + 1.0)
     xi_star = math.sin(theta) * math.sqrt((n - 1.0) / (n + 1.0))
     if xi_max >= xi_star:

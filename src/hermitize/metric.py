@@ -447,8 +447,11 @@ def dieudonne_nullspace(params):
     coords = _hermitian_coordinates(n)
     # Row-major vec(H^dag Theta - Theta H) = (H^dag (x) I - I (x) H^T)
     # vec(Theta); each entry of the system is an entry of H, or the
-    # difference of two, so it is exact.
-    system = (np.kron(hd.conj().T, eye) - np.kron(eye, hd.T)) @ coords
+    # difference of two, so it is exact unless it overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = (np.kron(hd.conj().T, eye) - np.kron(eye, hd.T)) @ coords
+    if not np.isfinite(system).all():
+        raise ValueError("the intertwining system overflows the float range")
     kernel = _real_nullspace(np.concatenate([system.real, system.imag]),
                              n * n - n)
     # + 0.0 turns -0.0 into +0.0, so a zero entry prints 0, not -0.

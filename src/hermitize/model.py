@@ -157,32 +157,19 @@ class TridiagonalHamiltonian:
         Endpoint coupling.
     bulk_diagonal : float
         The constant bulk diagonal entry (2 or 0).
-    convention : str
-        "lattice" (bulk 2) or "shifted" (bulk 0).
     """
 
     n: int
     z: complex
     bulk_diagonal: float
-    convention: str
-
-    @property
-    def corner_first(self):
-        """Diagonal entry at site 1."""
-        return self.bulk_diagonal - self.z
-
-    @property
-    def corner_last(self):
-        """Diagonal entry at site n."""
-        return self.bulk_diagonal - self.z.conjugate()
 
     def diagonal(self):
         """Full main diagonal as a complex array."""
         import numpy as np
 
         d = np.full(self.n, self.bulk_diagonal, dtype=complex)
-        d[0] = self.corner_first
-        d[-1] = self.corner_last
+        d[0] = self.bulk_diagonal - self.z
+        d[-1] = self.bulk_diagonal - self.z.conjugate()
         return d
 
     def dense(self):
@@ -194,10 +181,6 @@ class TridiagonalHamiltonian:
         h[idx, idx + 1] = -1.0
         h[idx + 1, idx] = -1.0
         return h
-
-    def shifted(self):
-        """The same operator with the bulk constant removed (bulk 0)."""
-        return TridiagonalHamiltonian(self.n, self.z, 0.0, "shifted")
 
 
 def build_hamiltonian(params):
@@ -215,7 +198,7 @@ def build_hamiltonian(params):
         raise TypeError(
             f"params must be a ModelParams, got {type(params).__name__}")
     bulk = 2.0 if params.convention == "lattice" else 0.0
-    return TridiagonalHamiltonian(params.n, params.z, bulk, params.convention)
+    return TridiagonalHamiltonian(params.n, params.z, bulk)
 
 
 def energy_from_y(y, convention="lattice"):

@@ -673,8 +673,7 @@ def eigen_residual(h, energy, phi):
 
     Parameters
     ----------
-    h : TridiagonalHamiltonian or numpy.ndarray
-        The operator, structured or dense.
+    h : TridiagonalHamiltonian
     energy : complex
     phi : array_like
         Candidate eigenvector.
@@ -683,21 +682,16 @@ def eigen_residual(h, energy, phi):
     -------
     float
     """
+    if not isinstance(h, TridiagonalHamiltonian):
+        raise TypeError("h must be a TridiagonalHamiltonian")
     phi = np.asarray(phi, dtype=complex)
-    if isinstance(h, TridiagonalHamiltonian):
-        if phi.size != h.n:
-            raise DimensionMismatch(
-                f"vector has {phi.size} entries, operator has {h.n} sites")
-        # (H phi)_m = d_m phi_m - phi_{m-1} - phi_{m+1}, corners included.
-        out = h.diagonal() * phi
-        out[:-1] -= phi[1:]
-        out[1:] -= phi[:-1]
-    else:
-        h = np.asarray(h)
-        if h.shape[0] != h.shape[1] or phi.size != h.shape[0]:
-            raise DimensionMismatch(
-                f"shapes {h.shape} and {phi.shape} are incompatible")
-        out = h @ phi
+    if phi.size != h.n:
+        raise DimensionMismatch(
+            f"vector has {phi.size} entries, operator has {h.n} sites")
+    # (H phi)_m = d_m phi_m - phi_{m-1} - phi_{m+1}, corners included.
+    out = h.diagonal() * phi
+    out[:-1] -= phi[1:]
+    out[1:] -= phi[:-1]
     norm = np.linalg.norm(phi)
     if norm == 0.0:
         raise ValueError("zero vector has no residual")

@@ -15,9 +15,9 @@ from hermitize.families import FAMILIES
 from hermitize.model import ModelParams
 
 from _oracles import (continuum_json, critical_json, csv_table, g17,
-                      json_hooked, json_text, locus_json, metric_json,
-                      nullspace_json, spectrum_json, sweep_json, verify_json,
-                      wavefn_json)
+                      json_hooked, json_text, jsonable, locus_json,
+                      metric_json, nullspace_json, spectrum_json, sweep_json,
+                      verify_json, wavefn_json)
 
 
 def _run(capsys, *argv):
@@ -855,23 +855,20 @@ def test_json_out_file_keeps_the_earlier_writer_bytes(capsys, tmp_path,
     assert out.read_text(encoding="utf-8") == json_text(doc())
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Ellipsis],
-                         ids=["object", "set", "bytes", "ellipsis"])
+@pytest.mark.parametrize("value", [
+    object(), {1, 2}, b"bytes", Ellipsis, np.bool_(True), np.int64(7),
+    np.float32(0.1), np.array(2.5), np.arange(4),
+    np.array([1 + 1j, 2], dtype=np.complex64)],
+    ids=["object", "set", "bytes", "ellipsis", "numpy-bool", "numpy-int64",
+         "numpy-float32", "0-d-array", "int-array", "complex64-array"])
 def test_json_hook_refuses_a_type_it_does_not_know(value):
-    with pytest.raises(TypeError, match="is not JSON serializable"):
-        cli._jsonable(value)
-
-
-def test_json_hook_converts_numpy_values():
-    rows = np.array([[1 + 2j, -3j], [np.inf, 5j]])
-    assert cli._jsonable(3 - 4j) == [3.0, -4.0]
-    assert [cli._jsonable(row) for row in cli._jsonable(rows)] == [
-        [[1.0, 2.0], [0.0, -3.0]], [[np.inf, 0.0], [0.0, 5.0]]]
-    # A strided column, not contiguous in memory.
-    assert cli._jsonable(rows[:, 1]) == [[0.0, -3.0], [0.0, 5.0]]
-    assert cli._jsonable(np.array([True, False])) == [True, False]
-    assert cli._jsonable(np.bool_(True)) is True
-    assert type(cli._jsonable(np.int64(7))) is int
+    # No document holds these; the writer names the type it refuses.
+    kind = type(value)
+    name = re.escape(f"{kind.__module__}.{kind.__name__}")
+    with pytest.raises(TypeError, match=f"^{name} is not JSON serializable$"):
+        "".join(cli._json_chunks(value))
+    with pytest.raises(TypeError, match=f"^{name} is not JSON serializable$"):
+        "".join(cli._json_chunks({"a": [1.0, value]}))
 
 
 def test_closed_pipe_during_a_json_sweep_ends_with_141():
@@ -907,6 +904,17 @@ def test_band_overflow_is_one_error_line_naming_it(argv):
                            f"range at n = 8, omega = {omega!r}\n")
 
 
+@pytest.mark.parametrize("omega", ["1e308", "-1e308", "9e307"])
+def test_nullspace_overflow_is_one_error_line(omega):
+    # Warnings as errors: the Kronecker system of H^dag and H overflows,
+    # and a numpy warning would end in a traceback.
+    proc = _run_python("-W", "error", "-m", "hermitize.cli", "nullspace",
+                       "--n", "2", "--omega", omega)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: the intertwining system overflows the "
+                           "float range\n")
+
+
 # The writer of numeric rows against the encoder with the earlier hook
 # (tests/_oracles.py), on edge values and on every command's document.
 _EDGE_DOCS = {
@@ -920,11 +928,6 @@ _EDGE_DOCS = {
     "complex-column": np.array([[1 + 2j, 3 - 4j], [5j, 6.5]])[:, 1],
     "complex-3d": np.arange(12.0).reshape(2, 3, 2) * (1 - 1j),
     "bool-2d": np.array([[True, False], [False, True]]),
-    "numpy-scalars": [np.bool_(True), np.bool_(False), np.int64(-7),
-                      np.float64(np.nan), np.complex128(1 - 2j),
-                      np.float32(0.1), np.array(2.5), np.array(1 + 1j)],
-    "other-arrays": [np.arange(4), np.arange(3, dtype=np.float32),
-                     np.array([1 + 1j, 2], dtype=np.complex64)],
     "nested": {"a": {"b": {"c": [1, 2.5, None, True, "x\u00e9\""]}},
                "e": {}, "f": [], "g": [[]], "h": (1.0, -0.0),
                "i": [[0.1, 0.2], [np.array([0.3])]], "j": None},
@@ -970,7 +973,7 @@ def test_large_json_sweep_encodes_twice_as_fast_as_the_encoder():
         text = encode()
         return time.perf_counter() - start, text
 
-    encoder = json.JSONEncoder(indent=2, default=cli._jsonable)
+    encoder = json.JSONEncoder(indent=2, default=jsonable)
     old, new = [], []
     for _ in range(3):
         elapsed, old_text = seconds(lambda: "".join(encoder.iterencode(doc)))
@@ -991,6 +994,8 @@ _HUGE = "100000000000000"
      "large: ((2 M + 1) / 2)^2 overflows the float range"),
     (("locus", "--n", "1" + "0" * 400), "n = 1" + "0" * 400
      + " is too large: n + 1 overflows the float range"),
+    (("locus", "--n", str(3 * 10 ** 307)), f"n = {3 * 10 ** 307} is too "
+     "large: 4 n + (n + 1) rho^2 overflows the float range"),
     (("locus", "--n", "4", "--samples", _HUGE),
      f"out of memory: cannot hold {_HUGE} floats"),
     (("continuum", "--m", _HUGE, "--levels", _HUGE),
@@ -1000,7 +1005,8 @@ _HUGE = "100000000000000"
     (("spectrum", "--n", _HUGE, "--omega", "0.5"),
      "out of memory: Unable to allocate"),
 ], ids=["continuum-m-1e400", "continuum-m-2^600", "locus-n-1e400",
-        "locus-samples", "continuum-levels", "sweep-steps", "spectrum-n"])
+        "locus-n-3e307", "locus-samples", "continuum-levels", "sweep-steps",
+        "spectrum-n"])
 def test_sizes_too_large_to_use_are_one_error_line(argv, message):
     for fmt in ("csv", "json"):
         proc = _run_process(*argv, "--format", fmt)

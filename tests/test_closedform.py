@@ -7,6 +7,9 @@ earlier numpy expressions in ``tests/_oracles.py``.  The energies pin that
 ``math.cos`` gives the bits of ``np.cos`` on every argument k pi / (2 M)
 of M = 1 ... 5,000 and k = 1 ... 8.
 """
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -117,3 +120,31 @@ def test_continuum_size_beyond_the_float_range_is_a_value_error(m):
 def test_locus_size_beyond_the_float_range_is_a_value_error():
     with pytest.raises(ValueError, match=r"n = \d+ is too large"):
         closedform.endpoint_locus(10 ** 400, samples=3)
+
+
+# The y = -1 numerator 4 n + (n + 1) rho^2 is 8 n at rho = 2, so it
+# overflows once n is above the float max / 8.  An int n rounds to that
+# float up to half an ulp above it; the tie rounds up, to the next float.
+_LOCUS_EDGE = sys.float_info.max / 8
+_LARGEST_LOCUS_N = int(_LOCUS_EDGE) + int(math.ulp(_LOCUS_EDGE)) // 2 - 1
+
+
+def test_endpoint_locus_up_to_the_largest_size_keeps_the_numpy_bits():
+    for n in (10 ** 300, 2 * 10 ** 307, int(_LOCUS_EDGE), _LARGEST_LOCUS_N):
+        want = locus_arrays(n, 7)
+        t, plus, minus = closedform.endpoint_locus(n, 7)
+        assert all(map(math.isfinite, t + plus[0] + plus[1] + minus[0]
+                       + minus[1])), n
+        for got, expect in zip((t, *plus, *minus), want):
+            assert same_bits(np.array(got), expect), n
+
+
+@pytest.mark.parametrize("n", [_LARGEST_LOCUS_N + 1, 3 * 10 ** 307,
+                               4 * 10 ** 307, 5 * 10 ** 307, 10 ** 308],
+                         ids=["smallest", "3e307", "4e307", "5e307", "1e308"])
+def test_locus_size_whose_rows_overflow_is_a_value_error(n):
+    message = (rf"^n = {n} is too large: 4 n \+ \(n \+ 1\) rho\^2 overflows "
+               "the float range$")
+    for locus in (closedform.endpoint_locus, analysis.endpoint_locus):
+        with pytest.raises(ValueError, match=message):
+            locus(n, samples=3)

@@ -67,8 +67,9 @@ def test_calls_that_compute_nothing_numeric_load_no_numpy(argv, code):
     (["locus", "--n", "5", "--samples", "20"], 0),
     (["locus", "--n", "4", "--samples", "100000000000000"], 1),
     (["continuum", "--m", "4," + "1" * 400], 1),
+    (["locus", "--n", str(3 * 10 ** 307)], 1),
 ], ids=["continuum", "locus", "locus-too-many-samples",
-        "continuum-too-large"])
+        "continuum-too-large", "locus-too-large"])
 def test_closed_form_commands_load_no_numpy(argv, code, fmt):
     got, _, numpy_loaded = _cli_in_fresh_process([*argv, "--format", fmt])
     assert (got, numpy_loaded) == (code, False)

@@ -79,10 +79,9 @@ def test_dieudonne_residual_input_validation():
 
 def test_residual_invariant_under_convention():
     theta = metric_band(8, 1.1)
-    p = ModelParams(n=8, omega=1.1)
-    lat = build_hamiltonian(p)
-    assert dieudonne_residual(lat, theta) == \
-        dieudonne_residual(lat.shifted(), theta)
+    lat = build_hamiltonian(ModelParams(n=8, omega=1.1))
+    shf = build_hamiltonian(ModelParams(n=8, omega=1.1, convention="shifted"))
+    assert dieudonne_residual(lat, theta) == dieudonne_residual(shf, theta)
 
 
 def test_n3_general_structure_at_zero_coupling():
@@ -214,7 +213,7 @@ def _nullspace_census(n):
 
 @functools.cache
 def _nullspace_at(n, z):
-    return dieudonne_nullspace(TridiagonalHamiltonian(n, z, 2.0, "lattice"))
+    return dieudonne_nullspace(TridiagonalHamiltonian(n, z, 2.0))
 
 
 def _check_intertwiner_basis(h, basis):
@@ -230,7 +229,7 @@ def _check_intertwiner_basis(h, basis):
 def test_nullspace_has_n_orthonormal_intertwiners_on_the_census(n):
     # J H J = H^dag and a nonderogatory H make the dimension n everywhere.
     for z in _nullspace_census(n):
-        h = TridiagonalHamiltonian(n, z, 2.0, "lattice")
+        h = TridiagonalHamiltonian(n, z, 2.0)
         _check_intertwiner_basis(h, _nullspace_at(n, z))
 
 
@@ -241,7 +240,7 @@ def test_nullspace_is_the_cutoff_basis_bit_for_bit(n):
     compared = 0
     for z in _nullspace_census(n):
         oracle = dieudonne_nullspace_cutoff(
-            TridiagonalHamiltonian(n, z, 2.0, "lattice"))
+            TridiagonalHamiltonian(n, z, 2.0))
         if len(oracle) != n:
             continue
         compared += 1

@@ -80,14 +80,6 @@ def test_conventions_differ_by_constant_shift():
     assert np.allclose(m_lat - m_shf, 2.0 * np.eye(5), atol=0)
 
 
-def test_shifted_helper_matches_convention():
-    h = build_hamiltonian(ModelParams(n=4, omega=0.2))
-    hs = h.shifted()
-    assert hs.bulk_diagonal == 0.0
-    assert hs.convention == "shifted"
-    assert np.allclose(h.dense() - hs.dense(), 2.0 * np.eye(4), atol=0)
-
-
 def test_dirichlet_wall_is_zero_coupling():
     # omega = 0, rho = -1 gives z = 0: a plain hard-wall chain.
     p = ModelParams(n=6, omega=0.0, rho=-1.0)
@@ -106,9 +98,8 @@ def test_energy_from_y_conventions():
 
 
 def test_hamiltonian_diagonal_and_corners():
-    h = TridiagonalHamiltonian(3, 0.5 + 0.25j, 2.0, "lattice")
-    assert h.corner_first == 1.5 - 0.25j
-    assert h.corner_last == 1.5 + 0.25j
+    h = TridiagonalHamiltonian(3, 0.5 + 0.25j, 2.0)
     d = h.diagonal()
+    assert d[0] == 1.5 - 0.25j
     assert d[1] == 2.0
-    assert d[0] == h.corner_first and d[2] == h.corner_last
+    assert d[2] == 1.5 + 0.25j
