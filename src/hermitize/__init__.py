@@ -14,11 +14,11 @@ import importlib
 # (PEP 562), so ``import hermitize`` loads no numpy; the first numeric
 # name pays for it.
 _SOURCES = {
-    "analysis": ("ContinuumTable", "LocusBranch", "LocusResult",
-                 "PositivityResult", "SweepResult", "continuum_convergence",
-                 "endpoint_locus", "metric_positivity_sweep", "sweep_xi",
-                 "sweep_zeta"),
+    "analysis": ("PositivityResult", "SweepResult", "metric_positivity_sweep",
+                 "sweep_xi", "sweep_zeta"),
     "chebyshev": ("eval_combo",),
+    "closedform": ("ContinuumTable", "LocusBranch", "LocusResult",
+                   "continuum_convergence", "endpoint_locus"),
     "critical": ("CriticalResult", "critical_zeta"),
     "errors": ("DimensionMismatch", "NoConvergence", "SingularParameters"),
     "metric": ("MetricMatrix", "VerificationReport", "dieudonne_nullspace",

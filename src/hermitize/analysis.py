@@ -1,8 +1,7 @@
-"""Parameter-space studies: reality regions, positivity, continuum limit.
+"""Parameter-space studies: reality regions and metric positivity.
 
 ``critical_zeta`` and ``CriticalResult`` live in ``hermitize.critical``
-and are re-exported here.  The continuum table and the endpoint loci are
-computed in ``hermitize.closedform`` and wrapped here as arrays.
+and are re-exported here.
 
 The sweeps solve all couplings of a grid in one batched call, in the
 calling thread.  The solver treats every coupling independently of the
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform
 # Re-exported, so that hermitize.analysis.critical_zeta keeps working.
 from .critical import CriticalResult, critical_zeta
 from .errors import SingularParameters
@@ -221,7 +219,7 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
     Parameters
     ----------
     family : str
-        A key of ``hermitize.metric.FAMILIES``: "band", "band_u",
+        A key of ``hermitize.families.FAMILIES``: "band", "band_u",
         "n3_general", "n3_special" or "n4_special".
     n : int
         Dimension; must be 3 or 4 for the fixed-size families.
@@ -285,123 +283,3 @@ def metric_positivity_sweep(family, n, param_min, param_max, steps,
         family=family, n=n, extra=dict(extra), values=values,
         min_eigenvalues=min_eigs, edge_positive=edge_pos,
         edge_negative=edge_neg, loss_abs=min(losses) if losses else None)
-
-
-@dataclass
-class ContinuumTable:
-    """Low eigenvalues of the hard-wall chain against the box spectrum.
-
-    Attributes
-    ----------
-    ms : list of int
-        Half-size parameters; the chain has 2 M - 1 sites.
-    levels : int
-    energies : numpy.ndarray
-        Raw lattice energies, shape (len(ms), levels).
-    rescaled : numpy.ndarray
-        Energies times ((2 M + 1) / 2)^2, the lattice-to-box scaling.
-    targets : numpy.ndarray
-        Box limits ((k pi / 2)^2 for level k), shape (levels,).
-    """
-
-    ms: list
-    levels: int
-    energies: np.ndarray
-    rescaled: np.ndarray
-    targets: np.ndarray
-
-    def richardson(self):
-        """Extrapolate the rescaled energies in 1/M.
-
-        Requires the M sequence to double at each step; eliminates the
-        1/M, 1/M^2, ... corrections with the standard tableau
-        T[i, j] = (2^j T[i+1, j-1] - T[i, j-1]) / (2^j - 1).
-
-        Returns
-        -------
-        numpy.ndarray
-            One extrapolated value per level.
-        """
-        return np.array(closedform.richardson(self.ms,
-                                              self.rescaled.tolist()))
-
-
-def continuum_convergence(ms, levels=2):
-    """Hard-wall chain spectra on the path to the continuum box.
-
-    The chain with 2 M - 1 sites and impenetrable ends has the closed-form
-    spectrum E_k = 2 - 2 cos(k pi / (2 M)); rescaling by ((2 M + 1) / 2)^2
-    sends level k to (k pi / 2)^2 as M grows.
-
-    Parameters
-    ----------
-    ms : sequence of int
-        Half-size parameters, at least one, each an integer >= levels.
-    levels : int
-        Number of low levels to tabulate, >= 1.
-
-    Returns
-    -------
-    ContinuumTable
-    """
-    ms, energies, rescaled, targets = closedform.continuum_levels(ms, levels)
-    return ContinuumTable(ms=ms, levels=levels, energies=np.array(energies),
-                          rescaled=np.array(rescaled),
-                          targets=np.array(targets))
-
-
-@dataclass
-class LocusBranch:
-    """One curve in the (zeta, xi) plane where a root sits at y = +/-1."""
-
-    name: str
-    t: np.ndarray
-    zeta: np.ndarray
-    xi: np.ndarray
-
-
-@dataclass
-class LocusResult:
-    """Both endpoint loci of the n-site well (upper half plane xi >= 0)."""
-
-    n: int
-    y_plus: LocusBranch
-    y_minus: LocusBranch
-
-
-def endpoint_locus(n, samples=20, t=None):
-    """Closed-form loci where a secular root reaches y = +1 or y = -1.
-
-    The y = +1 branch is the circle zeta^2 + xi^2 = 2 zeta / (n + 1)
-    (through the origin); the y = -1 branch is parametrized by the radius
-    rho = |(zeta, xi)| via zeta = (4 n + (n + 1) rho^2) / (4 n + 2) with
-    rho running from 2 - 2/(n + 1) to 2.
-
-    Parameters
-    ----------
-    n : int
-        Chain length, an integer >= 2.
-    samples : int
-        Number of points per branch when ``t`` is not given, >= 1.
-    t : array_like, optional
-        Explicit parameter values in [0, 1] to sample both branches at;
-        at least one.
-
-    Returns
-    -------
-    LocusResult
-    """
-    if t is not None:
-        t = np.asarray(t, dtype=float)
-    values, plus, minus = closedform.endpoint_locus(
-        n, samples, None if t is None else t.ravel().tolist())
-    if t is None:
-        t = np.array(values)
-
-    def branch(name, zeta, xi):
-        return LocusBranch(name=name, t=t,
-                           zeta=np.array(zeta).reshape(t.shape),
-                           xi=np.array(xi).reshape(t.shape))
-
-    return LocusResult(n=n, y_plus=branch("y_plus", *plus),
-                       y_minus=branch("y_minus", *minus))

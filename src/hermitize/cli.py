@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 # Only numpy-free modules here: each command imports the numeric module it
 # needs after its own checks, so a call that fails before any solve,
 # ``critical`` in closed form, ``continuum`` and ``locus`` never load numpy.
-from .closedform import continuum_levels, endpoint_locus, richardson
+from .closedform import continuum_convergence, endpoint_locus
 from .critical import critical_zeta
 from .errors import NoConvergence, SingularParameters
 from .families import FAMILIES
@@ -389,30 +389,30 @@ def _cmd_continuum(args):
         raise _UsageError("--m must be a comma-separated integer list")
     if not ms:
         raise _UsageError("--m must name at least one size")
-    ms, energies, rescaled, targets = continuum_levels(ms, args.levels)
+    table = continuum_convergence(ms, args.levels)
     doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
     return ("m,level,energy,rescaled,target", "%d,%d,%.17g,%.17g,%.17g\n",
             ((m, k, *values)
-             for m, row, scaled in zip(ms, energies, rescaled)
-             for k, values in enumerate(zip(row, scaled, targets)))), {
+             for m, row, scaled in zip(ms, table.energies, table.rescaled)
+             for k, values in enumerate(zip(row, scaled, table.targets)))), {
         "ms": ms,
-        "levels": args.levels,
-        "energies": energies,
-        "rescaled": rescaled,
-        "targets": targets,
-        "richardson": richardson(ms, rescaled) if doubling else None,
+        "levels": table.levels,
+        "energies": table.energies,
+        "rescaled": table.rescaled,
+        "targets": table.targets,
+        "richardson": table.richardson() if doubling else None,
     }
 
 
 def _cmd_locus(args):
-    t, *branches = endpoint_locus(args.n, samples=args.samples)
-    names = ("y_plus", "y_minus")
+    result = endpoint_locus(args.n, samples=args.samples)
+    branches = (result.y_plus, result.y_minus)
     return ("branch,t,zeta,xi", "%s,%.17g,%.17g,%.17g\n",
-            ((name, *point) for name, (zeta, xi) in zip(names, branches)
-             for point in zip(t, zeta, xi))), {
-        "n": args.n,
-        "branches": {name: {"t": t, "zeta": zeta, "xi": xi}
-                     for name, (zeta, xi) in zip(names, branches)},
+            ((b.name, *point) for b in branches
+             for point in zip(b.t, b.zeta, b.xi))), {
+        "n": result.n,
+        "branches": {b.name: {"t": b.t, "zeta": b.zeta, "xi": b.xi}
+                     for b in branches},
     }
 
 

@@ -1,10 +1,8 @@
 """The hard-wall continuum levels and the endpoint loci, in closed form.
 
 ``continuum`` and ``locus`` print a few dozen numbers from closed forms,
-so they are computed here with ``math`` and no numpy; the CLI imports
-this module alone for them.  ``analysis.continuum_convergence``,
-``ContinuumTable.richardson`` and ``analysis.endpoint_locus`` wrap the
-same lists as arrays, so the library and the CLI share one computation.
+so they are computed here with ``math`` and no numpy, and returned as
+dataclasses of lists; the CLI imports this module alone for them.
 
 Every value is bitwise the one of the earlier numpy expressions:
 
@@ -23,6 +21,7 @@ growing a list until memory runs out.
 """
 
 import math
+from dataclasses import dataclass
 
 from .model import _check_count, check_size, is_integer
 
@@ -39,16 +38,70 @@ def _clip(x):
     return 0.0 if x <= 0.0 else x
 
 
-def continuum_levels(ms, levels=2):
-    """The hard-wall levels E_k = 2 - 2 cos(k pi / (2 M)), k = 1 ...
-    levels, of each size M and their rescaling to the box; see
-    ``analysis.continuum_convergence``.
+@dataclass
+class ContinuumTable:
+    """Low eigenvalues of the hard-wall chain against the box spectrum.
+
+    Attributes
+    ----------
+    ms : list of int
+        Half-size parameters; the chain has 2 M - 1 sites.
+    levels : int
+    energies : list of list of float
+        Raw lattice energies, one row of ``levels`` values per size.
+    rescaled : list of list of float
+        Energies times ((2 M + 1) / 2)^2, the lattice-to-box scaling.
+    targets : list of float
+        Box limits, (k pi / 2)^2 for level k.
+    """
+
+    ms: list
+    levels: int
+    energies: list
+    rescaled: list
+    targets: list
+
+    def richardson(self):
+        """Extrapolate the rescaled energies in 1/M.
+
+        Requires the M sequence to double at each step; eliminates the
+        1/M, 1/M^2, ... corrections with the standard tableau
+        T[i, j] = (2^j T[i+1, j-1] - T[i, j-1]) / (2^j - 1).
+
+        Returns
+        -------
+        list of float
+            One extrapolated value per level.
+        """
+        for a, b in zip(self.ms, self.ms[1:]):
+            if b != 2 * a:
+                raise ValueError("Richardson extrapolation needs a "
+                                 "doubling M sequence")
+        tab = self.rescaled
+        for j in range(1, len(tab)):
+            fac = 2.0 ** j
+            tab = [[(fac * hi - lo) / (fac - 1.0) for lo, hi in zip(row, nxt)]
+                   for row, nxt in zip(tab, tab[1:])]
+        return list(tab[0])
+
+
+def continuum_convergence(ms, levels=2):
+    """Hard-wall chain spectra on the path to the continuum box.
+
+    The chain with 2 M - 1 sites and impenetrable ends has the closed-form
+    spectrum E_k = 2 - 2 cos(k pi / (2 M)); rescaling by ((2 M + 1) / 2)^2
+    sends level k to (k pi / 2)^2 as M grows.
+
+    Parameters
+    ----------
+    ms : sequence of int
+        Half-size parameters, at least one, each an integer >= levels.
+    levels : int
+        Number of low levels to tabulate, >= 1.
 
     Returns
     -------
-    (ms, energies, rescaled, targets)
-        The sizes as ints; E_k and E_k ((2 M + 1) / 2)^2, one list of
-        ``levels`` floats per size; and the box limits (k pi / 2)^2.
+    ContinuumTable
     """
     _check_count("levels", levels)
     ms = list(ms)
@@ -79,34 +132,51 @@ def continuum_levels(ms, levels=2):
     for i in range(levels):
         x = (i + 1) * math.pi / 2.0
         targets[i] = x * x
-    return ms, energies, rescaled, targets
+    return ContinuumTable(ms=ms, levels=levels, energies=energies,
+                          rescaled=rescaled, targets=targets)
 
 
-def richardson(ms, rescaled):
-    """Extrapolate the rows of ``rescaled`` (one per size of ``ms``) in
-    1/M; see ``ContinuumTable.richardson``.  Returns one float per
-    level."""
-    for a, b in zip(ms, ms[1:]):
-        if b != 2 * a:
-            raise ValueError("Richardson extrapolation needs a "
-                             "doubling M sequence")
-    tab = rescaled
-    for j in range(1, len(tab)):
-        fac = 2.0 ** j
-        tab = [[(fac * hi - lo) / (fac - 1.0) for lo, hi in zip(row, nxt)]
-               for row, nxt in zip(tab, tab[1:])]
-    return list(tab[0])
+@dataclass
+class LocusBranch:
+    """One curve in the (zeta, xi) plane where a root sits at y = +/-1."""
+
+    name: str
+    t: list
+    zeta: list
+    xi: list
+
+
+@dataclass
+class LocusResult:
+    """Both endpoint loci of the n-site well (upper half plane xi >= 0)."""
+
+    n: int
+    y_plus: LocusBranch
+    y_minus: LocusBranch
 
 
 def endpoint_locus(n, samples=20, t=None):
-    """The loci where a secular root reaches y = +1 or y = -1, at the
-    parameters ``t`` (a sequence of floats) or, when it is None, at
-    ``samples`` even steps of [0, 1]; see ``analysis.endpoint_locus``.
+    """Closed-form loci where a secular root reaches y = +1 or y = -1.
+
+    The y = +1 branch is the circle zeta^2 + xi^2 = 2 zeta / (n + 1)
+    (through the origin); the y = -1 branch is parametrized by the radius
+    rho = |(zeta, xi)| via zeta = (4 n + (n + 1) rho^2) / (4 n + 2) with
+    rho running from 2 - 2/(n + 1) to 2.
+
+    Parameters
+    ----------
+    n : int
+        Chain length, an integer >= 2.
+    samples : int
+        Number of points per branch when ``t`` is not given, >= 1.
+    t : iterable of float, optional
+        Explicit parameter values in [0, 1] to sample both branches at;
+        at least one.
 
     Returns
     -------
-    (t, (zeta, xi) of y = +1, (zeta, xi) of y = -1)
-        Lists of floats, one value per parameter.
+    LocusResult
+        Both branches share one list ``t``.
     """
     check_size(n)
     if t is None:
@@ -117,6 +187,8 @@ def endpoint_locus(n, samples=20, t=None):
             for i in range(1, samples - 1):
                 t[i] = i * step
             t[-1] = 1.0
+    else:
+        t = [float(v) for v in t]
     if not t:
         raise ValueError("t must hold at least one value")
     if not all(0.0 <= v <= 1.0 for v in t):
@@ -143,4 +215,5 @@ def endpoint_locus(n, samples=20, t=None):
         z = (4.0 * n + n1 * r2) / (4.0 * n + 2.0)
         zeta_m[i] = z
         xi_m[i] = math.sqrt(_clip(r2 - z * z))
-    return t, (zeta_p, xi_p), (zeta_m, xi_m)
+    return LocusResult(n=n, y_plus=LocusBranch("y_plus", t, zeta_p, xi_p),
+                       y_minus=LocusBranch("y_minus", t, zeta_m, xi_m))

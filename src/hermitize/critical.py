@@ -213,7 +213,7 @@ def critical_zeta(n, xi_max=10.0):
     Parameters
     ----------
     n : int
-        Chain length, an integer >= 2.
+        Chain length, an integer >= 2 with 2 (n + 1) in the float range.
     xi_max : float
         Upper end of the xi range (the lower end is 0); finite and > 0.
         At xi = 0 the coupling is real and the spectrum has no EP.
@@ -224,6 +224,13 @@ def critical_zeta(n, xi_max=10.0):
     """
     check_size(n)
     _check_tolerance("xi_max", xi_max)
+    try:
+        m = 2.0 * (n + 1.0)
+    except OverflowError:
+        m = math.inf
+    if m == math.inf:
+        raise ValueError(f"n = {n} is too large: 2 (n + 1) overflows the "
+                         "float range")
     theta = math.pi / (n + 1.0)
     xi_star = math.sin(theta) * math.sqrt((n - 1.0) / (n + 1.0))
     if xi_max >= xi_star:

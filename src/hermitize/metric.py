@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-# Re-exported, so that hermitize.metric.FAMILIES keeps working.
-from .families import FAMILIES, MetricFamily
 from .model import TridiagonalHamiltonian, build_hamiltonian
 
 
@@ -52,8 +50,8 @@ class MetricMatrix:
     n : int
         Dimension.
     family : str
-        Constructor family name (a key of ``FAMILIES``, "nullspace" or
-        "custom").
+        Constructor family name (a key of ``families.FAMILIES``,
+        "nullspace" or "custom").
     params : dict
         Family parameters used to build the matrix.
     matrix : numpy.ndarray

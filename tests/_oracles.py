@@ -34,7 +34,8 @@ the document as one string; the streamed documents keep its bytes.
 arrays a row at a time keeps byte for byte.  ``continuum_arrays``,
 ``richardson_arrays`` and ``locus_arrays`` are the earlier numpy
 evaluations of the continuum table and the endpoint loci, which the
-``math`` ones keep bit for bit.
+``math`` ones keep bit for bit; ``continuum_json`` and ``locus_json``
+build their documents from them.
 """
 import json
 from collections import namedtuple
@@ -846,28 +847,28 @@ def critical_json(result, xi_steps):
     }
 
 
-def continuum_json(table):
-    ms = table.ms
+def continuum_json(ms, levels=2):
+    energies, rescaled, targets = continuum_arrays(ms, levels)
     doubling = all(b == 2 * a for a, b in zip(ms, ms[1:])) and len(ms) > 1
     return {
         "ms": ms,
-        "levels": table.levels,
-        "energies": [[float(v) for v in row] for row in table.energies],
-        "rescaled": [[float(v) for v in row] for row in table.rescaled],
-        "targets": [float(v) for v in table.targets],
-        "richardson": ([float(v) for v in table.richardson()]
+        "levels": levels,
+        "energies": energies.tolist(),
+        "rescaled": rescaled.tolist(),
+        "targets": targets.tolist(),
+        "richardson": (richardson_arrays(rescaled).tolist()
                        if doubling else None),
     }
 
 
-def locus_json(result):
+def locus_json(n, samples):
+    t, *values = locus_arrays(n, samples)
     return {
-        "n": result.n,
+        "n": n,
         "branches": {
-            b.name: {"t": [float(v) for v in b.t],
-                     "zeta": [float(v) for v in b.zeta],
-                     "xi": [float(v) for v in b.xi]}
-            for b in (result.y_plus, result.y_minus)
+            name: {"t": t.tolist(), "zeta": zeta.tolist(), "xi": xi.tolist()}
+            for name, zeta, xi in (("y_plus", *values[:2]),
+                                   ("y_minus", *values[2:]))
         },
     }
 

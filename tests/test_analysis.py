@@ -1,14 +1,15 @@
 import itertools
 import math
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from hermitize import analysis, spectrum
-from hermitize.analysis import (continuum_convergence, critical_zeta,
-                                endpoint_locus, metric_positivity_sweep,
+from hermitize.analysis import (critical_zeta, metric_positivity_sweep,
                                 sweep_xi, sweep_zeta)
+from hermitize.closedform import continuum_convergence, endpoint_locus
 from hermitize.errors import SingularParameters
 from hermitize.metric import metric_band_extended, metric_n3_general
 from hermitize.model import ModelParams, build_hamiltonian
@@ -274,6 +275,35 @@ def test_critical_zeta_at_the_top_of_the_range_is_instant():
     assert min(times) < 1e-3, times
 
 
+# 2 (n + 1) overflows once n is above the float max / 2.  An int n rounds
+# to that float up to half an ulp above it; the tie rounds up, to the
+# next float.
+_CRITICAL_EDGE = sys.float_info.max / 2
+_LARGEST_CRITICAL_N = (int(_CRITICAL_EDGE) + int(math.ulp(_CRITICAL_EDGE)) // 2
+                       - 1)
+
+
+def test_critical_zeta_up_to_the_largest_size_is_finite():
+    # 1 - cos(pi / (n + 1)) is about 5 / n^2, which rounds to 0.0.
+    for n in (10 ** 300, int(_CRITICAL_EDGE), _LARGEST_CRITICAL_N):
+        result = critical_zeta(n)
+        assert result.value == 0.0, n
+        assert math.isfinite(result.ep_y) and result.ep_xi > 0.0, n
+
+
+@pytest.mark.parametrize("xi_max", [10.0, 5e-324], ids=["default", "edge"])
+@pytest.mark.parametrize("n", [_LARGEST_CRITICAL_N + 1, 10 ** 308,
+                               10 ** 400], ids=["smallest", "1e308", "1e400"])
+def test_critical_zeta_size_beyond_the_float_range_is_a_value_error(n, xi_max):
+    # It printed nan (the closed form) or failed in np.arange (xi_max below
+    # xi*, the edge iteration), and n + 1 raised OverflowError past the
+    # float max.
+    message = (rf"^n = {n} is too large: 2 \(n \+ 1\) overflows the float "
+               "range$")
+    with pytest.raises(ValueError, match=message):
+        critical_zeta(n, xi_max=xi_max)
+
+
 # The EP edge xi_max < xi*(n), with the 20,001-point bisection values it
 # was probed against.
 _EDGE_CASES = [(6, 0.2, 0.149917), (6, 0.3, 0.106840), (8, 0.25, 0.066209),
@@ -427,7 +457,7 @@ def test_continuum_rejects_sizes_that_are_not_integers(ms, match):
 
 def test_continuum_extrapolation_hits_box_levels():
     table = continuum_convergence([25, 50, 100], levels=2)
-    extrap = table.richardson()
+    extrap = np.array(table.richardson())
     assert np.max(np.abs(extrap - table.targets) / table.targets) < 1e-4
 
 
@@ -444,8 +474,8 @@ def test_endpoint_locus_points_solve_secular():
 def test_endpoint_locus_geometry():
     loc = endpoint_locus(7, samples=9)
     # y = +1 branch is the circle zeta^2 + xi^2 = 2 zeta / (n + 1)
-    lhs = loc.y_plus.zeta ** 2 + loc.y_plus.xi ** 2
-    assert np.allclose(lhs, 2 * loc.y_plus.zeta / 8.0, atol=1e-14)
+    zeta, xi = np.array(loc.y_plus.zeta), np.array(loc.y_plus.xi)
+    assert np.allclose(zeta ** 2 + xi ** 2, 2 * zeta / 8.0, atol=1e-14)
     # both branches start and end on the xi = 0 axis
     assert loc.y_plus.xi[0] == 0.0 and loc.y_plus.xi[-1] == pytest.approx(0.0, abs=1e-8)
     assert loc.y_minus.xi[0] == pytest.approx(0.0, abs=1e-8)

@@ -14,10 +14,10 @@ from hermitize.errors import NoConvergence
 from hermitize.families import FAMILIES
 from hermitize.model import ModelParams
 
-from _oracles import (continuum_json, critical_json, csv_table, g17,
-                      json_hooked, json_text, jsonable, locus_json,
-                      metric_json, nullspace_json, spectrum_json, sweep_json,
-                      verify_json, wavefn_json)
+from _oracles import (continuum_arrays, continuum_json, critical_json,
+                      csv_table, g17, json_hooked, json_text, jsonable,
+                      locus_arrays, locus_json, metric_json, nullspace_json,
+                      spectrum_json, sweep_json, verify_json, wavefn_json)
 
 
 def _run(capsys, *argv):
@@ -647,19 +647,20 @@ def _critical_table(n):
 
 
 def _continuum_table(ms, levels):
-    table = analysis.continuum_convergence(ms, levels=levels)
+    energies, rescaled, targets = continuum_arrays(ms, levels)
     return csv_table(("m", "level", "energy", "rescaled", "target"), [
-        (str(m), str(k), g17(table.energies[i, k]),
-         g17(table.rescaled[i, k]), g17(table.targets[k]))
-        for i, m in enumerate(table.ms) for k in range(levels)])
+        (str(m), str(k), g17(energies[i, k]), g17(rescaled[i, k]),
+         g17(targets[k]))
+        for i, m in enumerate(ms) for k in range(levels)])
 
 
 def _locus_table(n, samples):
-    result = analysis.endpoint_locus(n, samples=samples)
+    t, zeta_p, xi_p, zeta_m, xi_m = locus_arrays(n, samples)
     return csv_table(("branch", "t", "zeta", "xi"), [
-        (b.name, g17(t), g17(zt), g17(x))
-        for b in (result.y_plus, result.y_minus)
-        for t, zt, x in zip(b.t, b.zeta, b.xi)])
+        (name, g17(v), g17(zt), g17(x))
+        for name, zeta, xi in (("y_plus", zeta_p, xi_p),
+                               ("y_minus", zeta_m, xi_m))
+        for v, zt, x in zip(t, zeta, xi)])
 
 
 _CSV_CASES = {
@@ -822,16 +823,13 @@ _JSON_CASES = {
     "critical": (("critical", "--n", "6", "--xi-steps", "30"),
                  lambda: critical_json(analysis.critical_zeta(6), 30)),
     "continuum": (("continuum", "--m", "10,20,40", "--levels", "3"),
-                  lambda: continuum_json(
-                      analysis.continuum_convergence([10, 20, 40], 3))),
-    "continuum-not-doubling": (
-        ("continuum", "--m", "10,30"),
-        lambda: continuum_json(analysis.continuum_convergence([10, 30]))),
-    "continuum-one-size": (
-        ("continuum", "--m", "10"),
-        lambda: continuum_json(analysis.continuum_convergence([10]))),
+                  lambda: continuum_json([10, 20, 40], 3)),
+    "continuum-not-doubling": (("continuum", "--m", "10,30"),
+                               lambda: continuum_json([10, 30])),
+    "continuum-one-size": (("continuum", "--m", "10"),
+                           lambda: continuum_json([10])),
     "locus": (("locus", "--n", "4", "--samples", "5"),
-              lambda: locus_json(analysis.endpoint_locus(4, samples=5))),
+              lambda: locus_json(4, 5)),
 }
 
 
@@ -996,6 +994,10 @@ _HUGE = "100000000000000"
      + " is too large: n + 1 overflows the float range"),
     (("locus", "--n", str(3 * 10 ** 307)), f"n = {3 * 10 ** 307} is too "
      "large: 4 n + (n + 1) rho^2 overflows the float range"),
+    (("critical", "--n", str(10 ** 308)), f"n = {10 ** 308} is too large: "
+     "2 (n + 1) overflows the float range"),
+    (("critical", "--n", "1" + "0" * 400, "--xi-max", "1e-3"), "n = 1"
+     + "0" * 400 + " is too large: 2 (n + 1) overflows the float range"),
     (("locus", "--n", "4", "--samples", _HUGE),
      f"out of memory: cannot hold {_HUGE} floats"),
     (("continuum", "--m", _HUGE, "--levels", _HUGE),
@@ -1005,7 +1007,8 @@ _HUGE = "100000000000000"
     (("spectrum", "--n", _HUGE, "--omega", "0.5"),
      "out of memory: Unable to allocate"),
 ], ids=["continuum-m-1e400", "continuum-m-2^600", "locus-n-1e400",
-        "locus-n-3e307", "locus-samples", "continuum-levels", "sweep-steps",
+        "locus-n-3e307", "critical-n-1e308", "critical-n-1e400",
+        "locus-samples", "continuum-levels", "sweep-steps",
         "spectrum-n"])
 def test_sizes_too_large_to_use_are_one_error_line(argv, message):
     for fmt in ("csv", "json"):

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import hermitize
-from hermitize import analysis, critical, families, metric
+from hermitize import analysis, critical
 
 
 def _fresh(code):
@@ -44,6 +44,13 @@ def test_import_hermitize_loads_no_numpy():
                   "print('numpy' in sys.modules)\n") == "False\n"
 
 
+def test_closed_form_library_calls_load_no_numpy():
+    assert _fresh("import sys, hermitize as h\n"
+                  "h.continuum_convergence([40, 80, 160]).richardson()\n"
+                  "h.endpoint_locus(5, t=[0.0, 0.5, 1.0])\n"
+                  "print('numpy' in sys.modules)\n") == "False\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["critical", "--n", "6"], 0),
     (["critical", "--n", "2", "--xi-max", "0.6"], 0),
@@ -52,6 +59,7 @@ def test_import_hermitize_loads_no_numpy():
     (["spectrum", "--n", "1", "--omega", "0.5"], 1),
     (["metric", "--n", "4", "--family", "band", "--omega", "nan"], 1),
     (["critical", "--n", "6", "--xi-steps", "0"], 1),
+    (["critical", "--n", str(10 ** 308), "--xi-max", "5e-324"], 1),
     (["spectrum", "--n", "4", "--omega", "0.5", "--out", "/nonexistent/x.csv"],
      1),
     (["spectrum", "--n", "4", "--omega", "0.5", "--out", "."], 1),
@@ -111,5 +119,3 @@ def test_star_import_binds_every_public_name():
 def test_old_import_paths_are_the_same_objects():
     assert hermitize.analysis.critical_zeta is hermitize.critical_zeta
     assert analysis.CriticalResult is critical.CriticalResult
-    assert metric.FAMILIES is families.FAMILIES
-    assert metric.MetricFamily is families.MetricFamily

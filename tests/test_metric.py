@@ -6,7 +6,8 @@ import pytest
 
 from hermitize.analysis import critical_zeta, metric_positivity_sweep
 from hermitize.errors import DimensionMismatch
-from hermitize.metric import (FAMILIES, MetricMatrix, dieudonne_nullspace,
+from hermitize.families import FAMILIES
+from hermitize.metric import (MetricMatrix, dieudonne_nullspace,
                               dieudonne_residual, hermitian_eigenvalues,
                               metric_band, metric_band_extended,
                               metric_n3_general, metric_n3_special,

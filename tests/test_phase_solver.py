@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hermitize import spectrum
-from hermitize.analysis import endpoint_locus, sweep_xi, sweep_zeta
+from hermitize.analysis import sweep_xi, sweep_zeta
+from hermitize.closedform import endpoint_locus
 from hermitize.critical import _ep_curve, critical_zeta
 from hermitize.errors import NoConvergence
 from hermitize.model import ModelParams, build_hamiltonian
