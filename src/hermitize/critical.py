@@ -102,7 +102,10 @@ def _ep_curve(n, v):
     """
     import numpy as np
 
-    k = np.arange(1.0, n + 1.0)
+    try:
+        k = np.arange(1.0, n + 1.0)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise MemoryError(f"cannot hold n = {n} floats") from None
     if v > 0.0:
         g = np.sqrt(v)
         sin_g = np.sin(g)

@@ -13,11 +13,11 @@ work and must not be "simplified" away:
 * band entries are built cumulatively from the previous band value, so
   both sides of the relation multiply the same stored floats.
 
-``dieudonne_residual`` exploits the tridiagonal structure the same way:
-the bulk of H^dag Theta - Theta H is a difference of shifted copies of
-Theta, and only the corner rows and columns involve arithmetic.  A naive
-matmul residual on the growing families is wrong by many orders of
-magnitude once the band entries get large.
+``_defect``, the one form of H^dag Theta - Theta H that both the residual
+and the nullspace use, exploits the tridiagonal structure the same way:
+the bulk is a difference of shifted copies of Theta, and only the corner
+rows and columns involve arithmetic.  A naive matmul residual on the
+growing families is wrong by many orders of magnitude.
 """
 
 from dataclasses import dataclass, field
@@ -232,15 +232,32 @@ def _as_matrix(theta):
     return theta.matrix if isinstance(theta, MetricMatrix) else np.asarray(theta)
 
 
-def dieudonne_residual(h, theta):
-    """Frobenius norm of H^dag Theta - Theta H, computed structurally.
+def _defect(h, t):
+    """H^dag Theta - Theta H of a matrix or a stack of them, with H shifted
+    to bulk diagonal 0: only the corners -z, -conj(z) multiply anything."""
+    d_first = -h.z
+    d_last = -np.conj(h.z)
+    # H^dag Theta: corners conjugated; hopping shifts rows of Theta.
+    left = np.zeros_like(t)
+    left[..., 1:, :] -= t[..., :-1, :]
+    left[..., :-1, :] -= t[..., 1:, :]
+    left[..., 0, :] += _cmul(np.conj(d_first), t[..., 0, :])
+    left[..., -1, :] += _cmul(np.conj(d_last), t[..., -1, :])
 
-    Because the relation is invariant under real diagonal shifts of H, the
-    shifted form (bulk diagonal 0) is used: the hopping part contributes
-    shifted copies of Theta and only the corner entries -z, -conj(z)
-    multiply anything.  Each entry of the closed-form band families then
-    cancels exactly, so the residual is a true zero rather than the
-    rounding of a large matrix product.
+    # Theta H: hopping shifts columns of Theta.
+    right = np.zeros_like(t)
+    right[..., :, 1:] -= t[..., :, :-1]
+    right[..., :, :-1] -= t[..., :, 1:]
+    right[..., :, 0] += _cmul(d_first, t[..., :, 0])
+    right[..., :, -1] += _cmul(d_last, t[..., :, -1])
+    return left - right
+
+
+def dieudonne_residual(h, theta):
+    """Frobenius norm of H^dag Theta - Theta H (``_defect``).
+
+    Each entry cancels exactly on the closed-form band families, so the
+    residual there is a true zero, not the rounding of a matrix product.
 
     Parameters
     ----------
@@ -257,24 +274,7 @@ def dieudonne_residual(h, theta):
     if t.shape != (h.n, h.n):
         raise DimensionMismatch(
             f"metric shape {t.shape} does not match n = {h.n}")
-    d_first = -h.z
-    d_last = -np.conj(h.z)
-
-    # H^dag Theta: corners conjugated; hopping shifts rows of Theta.
-    left = np.zeros_like(t)
-    left[1:, :] -= t[:-1, :]
-    left[:-1, :] -= t[1:, :]
-    left[0, :] += _cmul(np.conj(d_first), t[0, :])
-    left[-1, :] += _cmul(np.conj(d_last), t[-1, :])
-
-    # Theta H: hopping shifts columns of Theta.
-    right = np.zeros_like(t)
-    right[:, 1:] -= t[:, :-1]
-    right[:, :-1] -= t[:, 1:]
-    right[:, 0] += _cmul(d_first, t[:, 0])
-    right[:, -1] += _cmul(d_last, t[:, -1])
-
-    return float(np.sqrt(np.sum(np.abs(left - right) ** 2)))
+    return float(np.sqrt(np.sum(np.abs(_defect(h, t)) ** 2)))
 
 
 def hermitian_eigenvalues(theta):
@@ -351,22 +351,23 @@ def verify_metric(params, theta):
         positive_definite=bool(eigs[0] > 0.0))
 
 
-def _hermitian_coordinates(n):
-    """The (n^2, n^2) map from real coordinates to a Hermitian matrix.
-
-    The coordinates are the diagonal, then the real and the imaginary
-    part of each upper entry, row by row; column k holds the row-major
-    entries of the k-th unit matrix, so every entry is 0, 1 or +-1j.
-    """
-    iu, ju = np.triu_indices(n, 1)
-    upper, lower = iu * n + ju, ju * n + iu
-    re = n + 2 * np.arange(iu.size)
-    coords = np.zeros((n * n, n * n), dtype=complex)
-    coords[np.arange(n) * (n + 1), np.arange(n)] = 1.0
-    coords[upper, re] = coords[lower, re] = 1.0
-    coords[upper, re + 1] = 1j
-    coords[lower, re + 1] = -1j
-    return coords
+def _intertwiner_coordinates(n):
+    """A (coordinates, n, n) stack of 0, +-1 and +-1j matrices spanning the
+    Hermitian ones that are Toeplitz plus Hankel on rows and columns
+    1 ... n-2, as every intertwiner is: there the defect at (i, j) is
+    f(i, j) - f(i+1, j+1), f(i, j) = Theta[i, j-1] - Theta[i-1, j].  Each
+    border entry is its own coordinate (one of size 1 / |z| is then not a
+    difference of O(1) ones); the first two inner anti-diagonals repeat
+    the diagonals: 8 n - 16 coordinates, n^2 for n <= 4."""
+    i, j = np.indices((n, n))
+    inner = (np.minimum(i, j) > 0) & (np.maximum(i, j) < n - 1)
+    a, b = (k[:, None, None] for k in np.nonzero(~inner & (i <= j)))
+    sym = np.concatenate([
+        ((i == a) & (j == b)) | ((i == b) & (j == a)),
+        inner & (np.abs(i - j) == np.arange(n - 2)[:, None, None])])
+    skew = 1j * (np.sign(j - i) * sym)
+    anti = inner & (i + j == np.arange(4, 2 * n - 3)[:, None, None])
+    return np.concatenate([sym, anti, skew[skew.any(axis=(1, 2))]])
 
 
 _TINY = np.finfo(float).tiny
@@ -410,9 +411,7 @@ def _real_nullspace(a, rank):
     for r in range(rank - 1, -1, -1):
         rhs = -a[r, rank:] @ sol[rank:, :] - a[r, r + 1:rank] @ sol[r + 1:rank, :]
         sol[r, :] = rhs / a[r, r]
-    out = np.zeros_like(sol)
-    out[col_perm, :] = sol
-    return out
+    return sol[np.argsort(col_perm)]
 
 
 def dieudonne_nullspace(params):
@@ -422,9 +421,9 @@ def dieudonne_nullspace(params):
     i + j = n + 1) gives J H J = H^dag, and H is tridiagonal with nonzero
     hopping, so every eigenvalue has one eigenvector; the solutions are
     then exactly J p(H) with p real of degree < n (Mostafazadeh, J. Math.
-    Phys. 43, 2002).  Theta is written in n^2 real Hermitian coordinates,
-    and the real system vec(H^dag Theta - Theta H) = 0 of rank n^2 - n is
-    reduced by exactly that many complete pivots, with no cutoff.
+    Phys. 43, 2002).  Theta is written in ``_intertwiner_coordinates``,
+    and the real system that ``_defect`` makes of them, of rank
+    coordinates - n, is reduced by that many complete pivots, no cutoff.
 
     Parameters
     ----------
@@ -441,19 +440,18 @@ def dieudonne_nullspace(params):
     h = params if isinstance(params, TridiagonalHamiltonian) \
         else build_hamiltonian(params)
     n = h.n
-    hd, eye = h.dense(), np.eye(n)
-    coords = _hermitian_coordinates(n)
-    # Row-major vec(H^dag Theta - Theta H) = (H^dag (x) I - I (x) H^T)
-    # vec(Theta); each entry of the system is an entry of H, or the
-    # difference of two, so it is exact unless it overflows.
+    coords = _intertwiner_coordinates(n)
+    # Zero two steps inside the border; the lower triangle repeats the upper.
+    rows = np.triu(np.ones((n, n), dtype=bool))
+    rows[2:-2, 2:-2] = False
     with np.errstate(over="ignore", invalid="ignore"):
-        system = (np.kron(hd.conj().T, eye) - np.kron(eye, hd.T)) @ coords
+        system = _defect(h, coords)[:, rows].T
     if not np.isfinite(system).all():
         raise ValueError("the intertwining system overflows the float range")
     kernel = _real_nullspace(np.concatenate([system.real, system.imag]),
-                             n * n - n)
+                             len(coords) - n)
     # + 0.0 turns -0.0 into +0.0, so a zero entry prints 0, not -0.
-    raw = (coords @ kernel + 0.0).T.reshape(n, n, n)
+    raw = np.tensordot(kernel, coords, (0, 0)) + 0.0
 
     # Orthonormalize in the Frobenius inner product with two MGS passes.
     ortho = []

@@ -19,9 +19,10 @@ critical-detuning bisection on a xi grid, whose predicate solves every
 grid point; the closed form must lie at or below its upper bracket end.
 ``critical_closed_form`` is the earlier numpy evaluation of the closed
 form, which the ``math`` one keeps bit for bit.
-``dieudonne_nullspace_cutoff`` is the earlier nullspace, whose rank is
-decided by a relative pivot cutoff ``tol_rank``; wherever it returns n
-elements, the fixed-rank nullspace returns its basis bit for bit.
+``dieudonne_nullspace_elimination`` is the earlier nullspace, which
+eliminated over all n^2 real Hermitian coordinates of Theta with the
+Kronecker form of the relation; the Toeplitz-plus-Hankel one must span
+the same space wherever the spectrum keeps its roots apart.
 ``tolerance_flags`` is the earlier reality rule, which the flags of the
 Aberth oracle and the whole-grid bisection keep.  ``g17`` and
 ``csv_table`` are the earlier CLI formatter, which built every CSV table
@@ -43,9 +44,7 @@ from collections import namedtuple
 import numpy as np
 
 from hermitize.analysis import _zs_from_grid
-from hermitize.errors import DimensionMismatch, NoConvergence
-from hermitize.metric import MetricMatrix
-from hermitize.model import TridiagonalHamiltonian, build_hamiltonian
+from hermitize.errors import NoConvergence
 from hermitize.spectrum import _lexsorted_rows, _solve_batch
 
 _EPS = np.finfo(float).eps
@@ -619,41 +618,33 @@ def hermitian_basis(n):
     return mats
 
 
-def real_nullspace_cutoff(a, tol_rank):
-    """Nullspace basis of a real matrix by complete-pivot elimination.
+def real_nullspace(a, rank):
+    """Kernel of a real matrix of known rank, by complete-pivot elimination.
 
-    Rank is decided against ``tol_rank`` times the largest pivot; the free
-    columns are completed to basis vectors by back substitution.
+    The free columns are completed to basis vectors by back substitution;
+    a pivot below the smallest normal float raises ValueError.
 
-    Returns an array of shape (ncols, dim), columns spanning the kernel.
+    Returns an array of shape (ncols, ncols - rank), columns spanning the
+    kernel.
     """
-    a = a.astype(float).copy()
-    rows, cols = a.shape
+    a = a.copy()
+    cols = a.shape[1]
     col_perm = np.arange(cols)
-    rank = 0
-    first_pivot = None
-    limit = min(rows, cols)
-    while rank < limit:
-        sub = np.abs(a[rank:, rank:])
+    for r in range(rank):
+        sub = np.abs(a[r:, r:])
         i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        pivot = sub[i, j]
-        if first_pivot is None:
-            first_pivot = pivot
-        if first_pivot == 0.0 or pivot <= tol_rank * first_pivot:
-            break
-        i += rank
-        j += rank
-        a[[rank, i], :] = a[[i, rank], :]
-        a[:, [rank, j]] = a[:, [j, rank]]
-        col_perm[[rank, j]] = col_perm[[j, rank]]
-        factors = a[rank + 1:, rank] / a[rank, rank]
-        a[rank + 1:, :] -= factors[:, None] * a[rank, :]
-        a[rank + 1:, rank] = 0.0
-        rank += 1
+        if not sub[i, j] >= np.finfo(float).tiny:
+            raise ValueError(f"pivot {r + 1} of {rank} underflows")
+        i += r
+        j += r
+        a[[r, i], :] = a[[i, r], :]
+        a[:, [r, j]] = a[:, [j, r]]
+        col_perm[[r, j]] = col_perm[[j, r]]
+        factors = a[r + 1:, r] / a[r, r]
+        a[r + 1:, :] -= factors[:, None] * a[r, :]
+        a[r + 1:, r] = 0.0
 
     nfree = cols - rank
-    if nfree == 0:
-        return np.zeros((cols, 0))
     # Permuted solution: x_free = identity, back-substitute the pivot part
     # against U x_piv = -B x_free.
     sol = np.zeros((cols, nfree))
@@ -666,71 +657,39 @@ def real_nullspace_cutoff(a, tol_rank):
     return out
 
 
-def dieudonne_nullspace_cutoff(params, tol_rank=1e-10):
-    """All Hermitian solutions of the intertwining relation, numerically.
+def dieudonne_nullspace_elimination(h):
+    """All Hermitian solutions of the intertwining relation, from all n^2
+    real Hermitian coordinates.
 
-    Writes Theta in the real Hermitian basis, assembles the linear system
-    vec(H^dag Theta - Theta H) = 0 over the reals and extracts its kernel
-    with complete-pivot elimination.  The solution space has dimension n
-    at every coupling, but the cutoff can return more elements: at
-    strong real couplings the last true pivot falls below
-    ``tol_rank`` times the first (n + 1 elements at n = 6, z = 100).
+    Theta is written in ``hermitian_basis``, the real system
+    vec(H^dag Theta - Theta H) = (H^dag (x) I - I (x) H^T) vec(Theta) = 0
+    is built from the dense H and reduced at its rank n^2 - n by
+    ``real_nullspace``, and the kernel is orthonormalized in the Frobenius
+    inner product by two MGS passes.
 
     Parameters
     ----------
-    params : ModelParams, TridiagonalHamiltonian or numpy.ndarray
-        The operator, or parameters to build it from.  A dense square
-        matrix is accepted so arbitrary operators can be analyzed.
-    tol_rank : float
-        Relative pivot cutoff for the rank decision; must be finite and
-        > 0.
+    h : TridiagonalHamiltonian
 
     Returns
     -------
-    list of MetricMatrix
-        Frobenius-orthonormal basis of the solution space (family
-        "nullspace"; not necessarily positive definite individually).
+    numpy.ndarray
+        Shape (n, n, n): the n basis matrices.
     """
-    if not (np.isfinite(tol_rank) and tol_rank > 0.0):
-        raise ValueError(f"tol_rank must be finite and > 0, got {tol_rank}")
-    if isinstance(params, TridiagonalHamiltonian):
-        hd = params.dense()
-    elif isinstance(params, (np.ndarray, list)):
-        hd = np.asarray(params, dtype=complex)
-        if hd.ndim != 2 or hd.shape[0] != hd.shape[1]:
-            raise DimensionMismatch("operator must be a square matrix")
-    else:
-        hd = build_hamiltonian(params).dense()
-    n = hd.shape[0]
-    hdag = hd.conj().T
-    basis = hermitian_basis(n)
-    cols = []
-    for b in basis:
-        c = hdag @ b - b @ hd
-        cols.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    system = np.column_stack(cols)
-    kernel = real_nullspace_cutoff(system, tol_rank)
-    dim = kernel.shape[1]
-
-    # Combine with real coefficients (keeps exact Hermiticity), then
-    # orthonormalize in the Frobenius inner product with two MGS passes.
-    raw = []
-    for k in range(dim):
-        m = np.zeros((n, n), dtype=complex)
-        for coeff, b in zip(kernel[:, k], basis):
-            if coeff != 0.0:
-                m = m + coeff * b
-        raw.append(m)
+    n = h.n
+    hd, eye = h.dense(), np.eye(n)
+    coords = np.array(hermitian_basis(n)).reshape(n * n, n * n).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = (np.kron(hd.conj().T, eye) - np.kron(eye, hd.T)) @ coords
+    kernel = real_nullspace(np.concatenate([system.real, system.imag]),
+                            n * n - n)
     ortho = []
-    for m in raw:
+    for m in (coords @ kernel).T.reshape(n, n, n):
         for _ in range(2):
             for o in ortho:
                 m = m - np.sum(o.conj() * m).real * o
-        norm = np.linalg.norm(m)
-        if norm > 0.0:
-            ortho.append(m / norm)
-    return [MetricMatrix(n=n, family="nullspace", params={"index": i},
-                         matrix=m) for i, m in enumerate(ortho)]
+        ortho.append(m / np.linalg.norm(m))
+    return np.array(ortho)
 
 
 def g17(x):

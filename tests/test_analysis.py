@@ -304,6 +304,15 @@ def test_critical_zeta_size_beyond_the_float_range_is_a_value_error(n, xi_max):
         critical_zeta(n, xi_max=xi_max)
 
 
+@pytest.mark.parametrize("n", [10 ** 14, 10 ** 19], ids=["1e14", "1e19"])
+def test_critical_zeta_edge_size_too_large_to_hold_names_n(n):
+    # Below xi* the EP sums take n floats; numpy refused them with "Unable
+    # to allocate 728. TiB" (1e14) and "Maximum allowed size exceeded"
+    # (1e19), naming no size.
+    with pytest.raises(MemoryError, match=rf"^cannot hold n = {n} floats$"):
+        critical_zeta(n, xi_max=1e-30)
+
+
 # The EP edge xi_max < xi*(n), with the 20,001-point bisection values it
 # was probed against.
 _EDGE_CASES = [(6, 0.2, 0.149917), (6, 0.3, 0.106840), (8, 0.25, 0.066209),

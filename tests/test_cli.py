@@ -1006,10 +1006,14 @@ _HUGE = "100000000000000"
       "--zeta", "0.2", "--steps", _HUGE), "out of memory: Unable to allocate"),
     (("spectrum", "--n", _HUGE, "--omega", "0.5"),
      "out of memory: Unable to allocate"),
+    (("critical", "--n", _HUGE, "--xi-max", "1e-30"),
+     f"out of memory: cannot hold n = {_HUGE} floats"),
+    (("critical", "--n", str(10 ** 19), "--xi-max", "1e-30"),
+     f"out of memory: cannot hold n = {10 ** 19} floats"),
 ], ids=["continuum-m-1e400", "continuum-m-2^600", "locus-n-1e400",
         "locus-n-3e307", "critical-n-1e308", "critical-n-1e400",
         "locus-samples", "continuum-levels", "sweep-steps",
-        "spectrum-n"])
+        "spectrum-n", "critical-edge-n-1e14", "critical-edge-n-1e19"])
 def test_sizes_too_large_to_use_are_one_error_line(argv, message):
     for fmt in ("csv", "json"):
         proc = _run_process(*argv, "--format", fmt)
