@@ -19,7 +19,7 @@ from .errors import SingularParameters
 from .families import FAMILIES
 from .metric import hermitian_eigenvalues
 from .model import _check_count, _check_tolerance, check_size, energy_from_y
-from .spectrum import _check_max_iter, _solve_batch, reality_flags
+from .spectrum import _solve_batch, reality_flags
 
 
 def _zs_from_grid(xi, zeta):
@@ -76,25 +76,15 @@ class SweepResult:
     energies: np.ndarray
     is_real: np.ndarray
 
-    @property
-    def all_real(self):
-        return np.all(self.is_real, axis=1)
 
-    @property
-    def n_real(self):
-        return np.count_nonzero(self.is_real, axis=1)
-
-
-def _sweep(axis, n, fixed, lo, hi, steps, convention, max_iter):
+def _sweep(axis, n, fixed, lo, hi, steps, convention):
     """Spectra along a grid of ``axis`` ("xi" or "zeta"), the other held
     at ``fixed``: the body of ``sweep_xi`` and ``sweep_zeta``."""
     check_size(n)
     _check_count("steps", steps)
-    _check_max_iter(max_iter)
     held = "zeta" if axis == "xi" else "xi"
     values = np.linspace(lo, hi, steps)
-    roots = _solve_batch(n, _zs_from_grid(**{axis: values, held: fixed}),
-                         max_iter=max_iter)
+    roots = _solve_batch(n, _zs_from_grid(**{axis: values, held: fixed}))
     return SweepResult(
         axis=axis, values=values, fixed={held: fixed}, n=n,
         convention=convention, y_roots=roots,
@@ -102,8 +92,7 @@ def _sweep(axis, n, fixed, lo, hi, steps, convention, max_iter):
         is_real=reality_flags(roots))
 
 
-def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
-             max_iter=500):
+def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice"):
     """Spectra along a xi grid at fixed zeta.
 
     Parameters
@@ -117,20 +106,16 @@ def sweep_xi(n, zeta, xi_min, xi_max, steps, convention="lattice",
     steps : int
         Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
-    max_iter : int
-        Iteration budget of each stage of the root solve, an integer
-        >= 0, as in ``spectrum.solve_spectrum``.
 
     Returns
     -------
     SweepResult
         Row i is bitwise ``solve_spectrum`` at (values[i], zeta).
     """
-    return _sweep("xi", n, zeta, xi_min, xi_max, steps, convention, max_iter)
+    return _sweep("xi", n, zeta, xi_min, xi_max, steps, convention)
 
 
-def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
-               max_iter=500):
+def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice"):
     """Spectra along a zeta grid at fixed xi.
 
     Raises ``SingularParameters`` when xi = 0 and the grid touches the
@@ -146,16 +131,13 @@ def sweep_zeta(n, xi, zeta_min, zeta_max, steps, convention="lattice",
     steps : int
         Number of grid points, >= 1.
     convention : {"lattice", "shifted"}
-    max_iter : int
-        Iteration budget of the root solve, as in ``sweep_xi``.
 
     Returns
     -------
     SweepResult
         Row i is bitwise ``solve_spectrum`` at (xi, values[i]).
     """
-    return _sweep("zeta", n, xi, zeta_min, zeta_max, steps, convention,
-                  max_iter)
+    return _sweep("zeta", n, xi, zeta_min, zeta_max, steps, convention)
 
 
 def _bisect(holds, a, b, tol):

@@ -75,14 +75,8 @@ class MetricMatrix:
 
 def _fill_band(n, band):
     """Hermitian matrix with constant k-th diagonals taken from band[k]."""
-    theta = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    theta[idx, idx] = band[0]
-    for k in range(1, n):
-        sub = np.arange(n - k)
-        theta[sub, sub + k] = band[k]
-        theta[sub + k, sub] = np.conj(band[k])
-    return theta
+    i, j = np.indices((n, n))
+    return np.where(j >= i, band[j - i], np.conj(band[i - j]))
 
 
 def metric_band(n, omega):
@@ -444,8 +438,10 @@ def dieudonne_nullspace(params):
     # Zero two steps inside the border; the lower triangle repeats the upper.
     rows = np.triu(np.ones((n, n), dtype=bool))
     rows[2:-2, 2:-2] = False
+    # n coordinates at a time: all defects at once are three O(n^3) arrays.
     with np.errstate(over="ignore", invalid="ignore"):
-        system = _defect(h, coords)[:, rows].T
+        system = np.concatenate([_defect(h, coords[k:k + n])[:, rows]
+                                 for k in range(0, len(coords), n)]).T
     if not np.isfinite(system).all():
         raise ValueError("the intertwining system overflows the float range")
     kernel = _real_nullspace(np.concatenate([system.real, system.imag]),

@@ -112,18 +112,6 @@ def secular_polynomial(params):
     return c
 
 
-def _check_max_iter(max_iter):
-    """Raise ValueError unless the iteration budget is an integer >= 0."""
-    if not is_integer(max_iter) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter}")
-
-
-def _lexsorted_rows(y):
-    """Sort each row by (Re, Im), ascending; deterministic output order."""
-    return np.take_along_axis(y, np.lexsort((y.imag, y.real), axis=-1),
-                              axis=-1)
-
-
 def _phase_coef(a, b, m2, p2):
     """The constants of psi for ``_half_phase`` and ``_phase_slope``:
     (2 a, 1 - b, 1 + b, (1 - b)^2, m2, p2)."""
@@ -490,7 +478,8 @@ def _outer_roots(n, z, band, max_iter):
 
 
 def _secular_roots(n, zs, max_iter):
-    """Sorted secular roots of the couplings ``zs``, one row each.
+    """Secular roots of the couplings ``zs``, one row each, sorted by
+    (Re, Im) with a stable sort, so tied roots keep their order.
 
     At n = 2, P is a quadratic and every row takes its closed form; that
     is also several times cheaper than the phase solve, whose fixed cost
@@ -500,10 +489,10 @@ def _secular_roots(n, zs, max_iter):
     two roots left from ``_outer_roots``; a real z gets real roots.  Every
     step is elementwise or a reduction along one row, so a row's roots do
     not depend on the other rows of the batch.  ``max_iter`` is the
-    iteration budget of each stage.  A
-    batch with a root that is not finite (|z| near the square root of the
-    largest float, or a nan coupling) raises ``NoConvergence``; the
-    overflow on the way there raises no numpy warning.
+    iteration budget of each stage.  A batch with a root that is not
+    finite (|z| near the square root of the largest float, or a nan
+    coupling) raises ``NoConvergence``; the overflow on the way there
+    raises no numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -511,8 +500,8 @@ def _secular_roots(n, zs, max_iter):
         if n == 2:
             # P = 4 y^2 - 4 a y + |z|^2 - 1, with discriminant 16 (1 - w^2).
             root = np.sqrt(((1.0 - np.abs(w)) * (1.0 + np.abs(w))) + 0j)
-            return _finite(_lexsorted_rows(
-                np.stack([0.5 * (a - root), 0.5 * (a + root)], axis=1)))
+            return _finite(np.sort(np.stack(
+                [0.5 * (a - root), 0.5 * (a + root)], axis=1), kind="stable"))
         b = a * a + w * w
         roots = np.full((zs.size, n), np.inf, dtype=complex)
         unit = b == 1.0
@@ -540,7 +529,7 @@ def _secular_roots(n, zs, max_iter):
                 roots[outer[sel], n - left[sel] + c] = got[sel, c]
             real_z = w[outer] == 0.0
             roots[outer[real_z]] = roots[outer[real_z]].real
-        return _finite(_lexsorted_rows(roots))
+        return _finite(np.sort(roots, kind="stable"))
 
 
 def _finite(roots):
@@ -722,19 +711,6 @@ class Spectrum:
     is_real: np.ndarray
     wavefunctions: list | None = None
 
-    @property
-    def n_real(self):
-        return int(np.count_nonzero(self.is_real))
-
-    @property
-    def n_complex_pairs(self):
-        # Real coefficients: non-real roots always occur in conjugate pairs.
-        return int(np.count_nonzero(~self.is_real)) // 2
-
-    @property
-    def all_real(self):
-        return bool(np.all(self.is_real))
-
 
 def reality_flags(y_roots):
     """Per-root reality flags, Im y == 0: the solve stores a real root with
@@ -763,7 +739,8 @@ def solve_spectrum(params, max_iter=500, with_wavefunctions=False):
         comes out (-Im, +Im).  The solve is O(n) per coupling and covers
         n up to 65,536 and |z| from 0 to 1e3 (see the module docstring).
     """
-    _check_max_iter(max_iter)
+    if not is_integer(max_iter) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter}")
     y_roots = _secular_roots(params.n, [params.z], max_iter)[0]
     energies = energy_from_y(y_roots, params.convention)
     wfs = None

@@ -45,7 +45,7 @@ import numpy as np
 
 from hermitize.analysis import _zs_from_grid
 from hermitize.errors import NoConvergence
-from hermitize.spectrum import _lexsorted_rows, _solve_batch
+from hermitize.spectrum import _solve_batch
 
 _EPS = np.finfo(float).eps
 
@@ -350,7 +350,7 @@ def charpoly_eigenvalues(h, tol=1e-12, max_iter=500):
     start = circle_start(np.mean(evaluate.diag), 1, h.n)
     roots = aberth_rows(lambda rows, lam: evaluate(lam), start, tol,
                         max_iter)
-    return _lexsorted_rows(roots)[0]
+    return np.sort(roots, kind="stable")[0]
 
 
 def padded_secular_coeffs(n, zs):
@@ -374,7 +374,7 @@ def solve_batch(n, zs, tol=1e-12, max_iter=500):
 
     roots = aberth_rows(evaluate, secular_start(coeffs.shape[0], n), tol,
                         max_iter)
-    return _lexsorted_rows(tie_conjugate_pairs(roots))
+    return np.sort(tie_conjugate_pairs(roots), kind="stable")
 
 
 def half_phase(n, a, b, m2, p2, gamma):

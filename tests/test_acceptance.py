@@ -71,7 +71,7 @@ def test_four_site_reality_windows_at_fixed_detuning():
     outcomes = {}
     for xi in (0.1, 0.4, 1.0):
         spec = solve_spectrum(ModelParams(n=4, xi=xi, zeta=0.3))
-        outcomes[xi] = spec.n_complex_pairs
+        outcomes[xi] = np.count_nonzero(~spec.is_real) // 2
     print(f"n=4, zeta=0.3 conjugate pairs: {outcomes}")
     assert outcomes[0.1] == 0
     assert outcomes[0.4] == 1
@@ -144,7 +144,7 @@ def test_positivity_domains_and_two_site_threshold():
     lo, hi = 0.5, 1.5
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
-        if solve_spectrum(ModelParams(n=2, omega=mid)).all_real:
+        if solve_spectrum(ModelParams(n=2, omega=mid)).is_real.all():
             lo = mid
         else:
             hi = mid

@@ -361,7 +361,7 @@ def test_critical_zeta_is_the_threshold_on_both_sides(n):
     below = result.value * (1 - 1e-4)
     for lo, hi, steps in ((0.0, 10.0, 2000),
                           (0.99 * xi_star, 1.01 * xi_star, 2001)):
-        assert sweep_xi(n, below, lo, hi, steps).all_real.all()
+        assert sweep_xi(n, below, lo, hi, steps).is_real.all()
 
 
 def test_bisection_below_float_spacing_stops_at_adjacent_floats(

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,19 @@ def test_nullspace_dimension_at_strong_couplings(n, z):
     p = ModelParams(n=n, omega=z.imag, rho=z.real - 1.0)
     assert p.z == z
     _check_intertwiner_basis(build_hamiltonian(p), dieudonne_nullspace(p))
+
+
+def test_nullspace_memory_is_not_the_whole_defect_stack():
+    # The coordinate stack is (8 n - 16, n, n) complex, 13.5 MiB at
+    # n = 48.  Its defects taken whole, three more arrays of that size,
+    # peaked at 51.8 MiB; n coordinates at a time peak at 23.3 MiB.
+    tracemalloc.start()
+    try:
+        dieudonne_nullspace(ModelParams(n=48, xi=0.3, zeta=0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_nullspace_rejects_a_dense_matrix():

@@ -7,8 +7,7 @@ from hermitize.chebyshev import eval_combo
 from hermitize.errors import DimensionMismatch, NoConvergence
 from hermitize.model import ModelParams, build_hamiltonian
 from hermitize import spectrum
-from hermitize.spectrum import (_lexsorted_rows, _solve_batch,
-                                eigen_residual, reality_flags,
+from hermitize.spectrum import (_solve_batch, eigen_residual, reality_flags,
                                 secular_polynomial, solve_spectrum,
                                 wavefunction)
 
@@ -93,7 +92,7 @@ def test_solve_spectrum_energies_and_flags():
     spec = solve_spectrum(p)
     expect = np.array([0.0, 2 - np.sqrt(2), 2.0, 2 + np.sqrt(2)])
     assert max_pair_distance(spec.energies, expect) < 1e-12
-    assert spec.all_real and spec.n_real == 4 and spec.n_complex_pairs == 0
+    assert spec.is_real.all()
     # shifted convention moves the same spectrum down by 2
     spec_s = solve_spectrum(ModelParams(n=4, xi=0.0, zeta=0.0,
                                         convention="shifted"))
@@ -103,7 +102,7 @@ def test_solve_spectrum_energies_and_flags():
 def test_solve_spectrum_conjugate_pairs_flagged():
     p = ModelParams(n=4, xi=0.4, zeta=0.3)
     spec = solve_spectrum(p)
-    assert spec.n_complex_pairs == 1
+    assert np.count_nonzero(~spec.is_real) == 2
     complex_roots = spec.y_roots[~spec.is_real]
     assert abs(complex_roots[0] - np.conj(complex_roots[1])) < 1e-10
 
@@ -115,15 +114,19 @@ def test_roots_deterministic_across_calls():
     assert np.array_equal(a, b)
 
 
-def test_lexsorted_rows_matches_per_row_sort():
+def test_stable_sort_matches_per_row_sort():
+    # The solve sorts its rows with np.sort(..., kind="stable"): numpy
+    # orders complex numbers by (Re, Im) and keeps ties in their order.
     rng = np.random.RandomState(5)
     y = rng.randn(40, 9) + 1j * rng.randn(40, 9)
     y[:, 1] = np.conj(y[:, 0])  # conjugate pairs share the real part
     y[:, 2] = y[:, 0].real  # and so does a real root
     y[::3, 4] = y[::3, 5]  # exact duplicates
+    y[::2, 6] = complex(0.25, -0.0)  # a signed zero ties with +0.0
+    y[::2, 7] = complex(0.25, 0.0)
     expect = np.array([sorted(row, key=lambda v: (v.real, v.imag))
                        for row in y])
-    assert np.array_equal(_lexsorted_rows(y), expect)
+    assert same_bits(np.sort(y, kind="stable"), expect)
 
 
 def test_conjugate_pair_order_does_not_depend_on_round_off():
@@ -135,7 +138,7 @@ def test_conjugate_pair_order_does_not_depend_on_round_off():
         [a + 0.2j, b - 0.2j, -0.5 + 0j, 0.7 + 1e-17j],
         [a - 0.2j, -0.5 + 0j, 0.7 + 1e-17j, b + 0.2j],
     ])
-    out = _lexsorted_rows(tie_conjugate_pairs(rows))
+    out = np.sort(tie_conjugate_pairs(rows), kind="stable")
     expect = np.array([-0.5, m - 0.2j, m + 0.2j, 0.7 + 1e-17j])
     assert np.array_equal(out, np.broadcast_to(expect, out.shape))
     # Near-real roots of opposite Im sign and roots that are not close to
